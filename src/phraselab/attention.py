@@ -266,13 +266,17 @@ def forward_batched(
     cfg: AttentionConfig,
     mask: np.ndarray,
     prob_dropout: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
+    keep_cache: bool = False,
+) -> tuple[np.ndarray, np.ndarray, Optional[AttentionCache]]:
     """Batched forward pass.
 
     ``h`` is (B, L, d_model), ``mask`` is (B, L) with 1 marking real
     tokens. ``prob_dropout``, when given, is an already-scaled keep
     mask applied to the attention probabilities (training only).
-    Returns (output, raw scaled scores, cache).
+    Returns (output, raw scaled scores, cache). The cache holds what
+    ``backward_batched`` reads; it is built only when ``keep_cache`` is
+    set and is None otherwise, so an inference caller frees the
+    projections and probabilities as soon as the call returns.
     """
     h = np.asarray(h, dtype=np.float64)
     mask = np.asarray(mask)
@@ -307,6 +311,8 @@ def forward_batched(
     used = probs if prob_dropout is None else probs * prob_dropout
     merged = _merge_heads(used @ v)
     out = merged @ params.wo
+    if not keep_cache:
+        return out, raw, None
 
     cache = AttentionCache(
         h=h, mask=np.asarray(mask, dtype=bool), qc=qc, kc=kc, v=v, qr=qr, kr=kr,
@@ -409,7 +415,7 @@ def disentangled_scores(
 ) -> ScoreMatrix:
     """Raw scaled scores and masked softmax for one (L, d) sequence."""
     _, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None]
+        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
     )
     return ScoreMatrix(scores=raw[0], probs=cache.probs[0])
 
@@ -419,7 +425,7 @@ def attention_forward(
 ) -> tuple[np.ndarray, ScoreMatrix]:
     """Full attention for one (L, d) sequence: project, score, mix."""
     out, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None]
+        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
     )
     return out[0], ScoreMatrix(scores=raw[0], probs=cache.probs[0])
 
@@ -429,7 +435,7 @@ def attention_forward_with_cache(
 ) -> tuple[np.ndarray, ScoreMatrix, AttentionCache]:
     """Like attention_forward but also returns the backward cache."""
     out, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None]
+        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
     )
     return out[0], ScoreMatrix(scores=raw[0], probs=cache.probs[0]), cache
 

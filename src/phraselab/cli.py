@@ -7,7 +7,8 @@ checkpoint). Every artifact-writing command also writes a ``run.json``
 manifest recording flags, input/output hashes, and wall-clock time.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation or configuration
-failure, 3 numeric failure during training.
+failure, 3 numeric failure (a non-finite training loss or checkpoint
+weight).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, evaluation, lexical, model, reporting
-from .errors import IoError, NumericError, PhraseLabError, ValidationError
+from .errors import IoError, NumericError, PhraseLabError, ShapeMismatch, ValidationError
 from .text import encode, load_vocab, save_vocab
 
 EXIT_OK = 0
@@ -190,7 +191,13 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     params, cfg = model.load_checkpoint(args.checkpoint)
-    vocab = load_vocab(f"{args.checkpoint}.vocab.txt")
+    vocab_path = f"{args.checkpoint}.vocab.txt"
+    vocab = load_vocab(vocab_path)
+    if len(vocab) > cfg.vocab_size:
+        raise ShapeMismatch(
+            f"{vocab_path}: {len(vocab)} entries, but the checkpoint embeds only "
+            f"{cfg.vocab_size} token ids"
+        )
     seq = encode(args.anchor, args.target, args.context, vocab, cfg.max_len, cfg.input_layout)
     score = model.forward(seq, params, cfg)
     print(f"{score:.6f}")

@@ -2,7 +2,8 @@
 
 Errors are grouped by how the command-line layer maps them to exit
 codes: I/O failures exit 1, validation and configuration problems
-exit 2, numeric failures during training exit 3.
+exit 2, numeric failures (a non-finite training loss or checkpoint
+weight) exit 3.
 """
 
 
@@ -88,3 +89,7 @@ class NumericError(PhraseLabError):
 
 class NonFiniteLoss(NumericError):
     """Training produced a NaN or infinite loss value."""
+
+
+class NonFiniteWeights(NumericError):
+    """A checkpoint holds a NaN or infinite parameter value."""

@@ -16,8 +16,10 @@ the test suite.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,6 +37,7 @@ from .errors import (
     EmptySplit,
     IoError,
     NonFiniteLoss,
+    NonFiniteWeights,
     ShapeMismatch,
     UnknownPreset,
     ZeroVariance,
@@ -157,6 +160,8 @@ class TrainTrace:
     val_pearsons: list[Optional[float]]
     epoch_seconds: list[float]
     steps_per_epoch: int
+    # held-out scores of the final parameters, in validation-index order
+    val_predictions: np.ndarray
 
     def final_epoch_train_loss(self) -> float:
         tail = self.step_losses[-self.steps_per_epoch:]
@@ -247,18 +252,22 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return _assemble(flat, cfg)
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), tanh part); the tanh is cached for the backward pass."""
+def _gelu_parts(x: np.ndarray, keep_tanh: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(gelu(x), tanh part); the tanh is cached for the backward pass.
+
+    Without ``keep_tanh`` the tanh buffer becomes the output and None
+    is returned in its place, so inference allocates one array less.
+    """
     u = x * x
     u *= GELU_CUBIC
     u += 1.0
     u *= x  # x + GELU_CUBIC * x^3
     u *= GELU_C
     t = np.tanh(u, out=u)
-    out = t + 1.0
+    out = t + 1.0 if keep_tanh else np.add(t, 1.0, out=t)
     out *= x
     out *= 0.5
-    return out, t
+    return out, (t if keep_tanh else None)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -312,6 +321,53 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
+def _block_forward(
+    x: np.ndarray,
+    lay: LayerParams,
+    cfg: ModelConfig,
+    mask: np.ndarray,
+    drop_rng: Optional[np.random.Generator],
+    keep_cache: bool,
+):
+    """One pre-norm block; returns (hidden states, block cache or None).
+
+    ``drop_rng`` draws the block's two dropout masks and is None when
+    dropout is off. Everything not returned is freed on return.
+    """
+    n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b)
+    prob_drop = None
+    if drop_rng is not None:
+        keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
+        shape = (x.shape[0], cfg.n_heads, x.shape[1], x.shape[1])
+        prob_drop = (drop_rng.random(shape) >= cfg.dropout_rate) * keep_scale
+    attn_out, _, attn_cache = attn_mod.forward_batched(
+        n1, lay.attn, cfg.attention, mask, prob_drop, keep_cache
+    )
+    xb = x + attn_out
+    n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b)
+    pre = n2 @ lay.w1
+    pre += lay.b1
+    act, gelu_t = _gelu_parts(pre, keep_cache)
+    ffn_drop = None
+    used = act
+    if drop_rng is not None:
+        ffn_drop = (drop_rng.random(act.shape) >= cfg.dropout_rate) * keep_scale
+        used = act * ffn_drop
+    x = xb + used @ lay.w2 + lay.b2
+    if not keep_cache:
+        return x, None
+    return x, {
+        "ln1": ln1_cache,
+        "attn": attn_cache,
+        "ln2": ln2_cache,
+        "n2": n2,
+        "pre": pre,
+        "gelu_t": gelu_t,
+        "used": used,
+        "ffn_drop": ffn_drop,
+    }
+
+
 def forward_batch(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -319,12 +375,22 @@ def forward_batch(
     cfg: ModelConfig,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
+    keep_cache: bool = False,
 ):
     """Forward pass over a batch; returns (scores, cache).
 
     ``ids`` and ``mask`` are (B, max_len). In training mode dropout
     masks are drawn from ``rng`` after the attention probabilities and
     after the FFN activation, exactly one draw pair per block.
+
+    The cache holds what ``loss_and_grads`` reads on the way back; it
+    is built only when ``keep_cache`` is set and is None otherwise. A
+    call that keeps no cache and draws no dropout first drops the
+    trailing columns that are padding in every row. That changes no
+    score in exact arithmetic: masked keys get probability exp(-inf) =
+    0, layer norm and the FFN act per position, relative buckets depend
+    only on the offset and the absolute table is read from position 0,
+    so only zero terms leave the softmax sums and the value mixing.
     """
     ids = np.asarray(ids)
     mask = np.asarray(mask)
@@ -336,50 +402,30 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout needs a random generator")
 
-    n_batch, length = ids.shape
-    keep_scale = 1.0 / (1.0 - cfg.dropout_rate) if use_dropout else 1.0
+    if not (keep_cache or use_dropout):
+        real = np.flatnonzero(mask.any(axis=0))
+        # one column at least, so a batch with no real token still
+        # reaches the softmax and raises AllMasked there
+        width = int(real[-1]) + 1 if real.size else 1
+        ids, mask = ids[:, :width], mask[:, :width]
+    length = ids.shape[1]
 
     x = params.token_embed[ids]
     inject_at = cfg.layers - POSITION_INJECTION_BLOCKS_FROM_TOP
+    drop_rng = rng if use_dropout else None
     blocks = []
     for li, lay in enumerate(params.layers):
         if li == inject_at:
             x = x + params.abs_pos_embed[None, :length]
-        n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b)
-        prob_drop = None
-        if use_dropout:
-            shape = (n_batch, cfg.n_heads, length, length)
-            prob_drop = (rng.random(shape) >= cfg.dropout_rate) * keep_scale
-        attn_out, _, attn_cache = attn_mod.forward_batched(
-            n1, lay.attn, cfg.attention, mask, prob_drop
-        )
-        xb = x + attn_out
-        n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b)
-        pre = n2 @ lay.w1 + lay.b1
-        act, gelu_t = _gelu_parts(pre)
-        ffn_drop = None
-        used = act
-        if use_dropout:
-            ffn_drop = (rng.random(act.shape) >= cfg.dropout_rate) * keep_scale
-            used = act * ffn_drop
-        x = xb + used @ lay.w2 + lay.b2
-        blocks.append(
-            {
-                "ln1": ln1_cache,
-                "attn": attn_cache,
-                "ln2": ln2_cache,
-                "n2": n2,
-                "pre": pre,
-                "gelu_t": gelu_t,
-                "used": used,
-                "ffn_drop": ffn_drop,
-            }
-        )
+        x, block_cache = _block_forward(x, lay, cfg, mask, drop_rng, keep_cache)
+        blocks.append(block_cache)
 
     cls = x[:, 0]
     pooled = np.tanh(cls @ params.head_w + params.head_b)
     logit = pooled @ params.out_w + params.out_b[0]
     score = _sigmoid(logit)
+    if not keep_cache:
+        return score, None
     cache = {
         "ids": ids,
         "length": length,
@@ -416,7 +462,7 @@ def loss_and_grads(
     Gradient keys match ``ModelParams.named_arrays`` names; the shared
     relative table accumulates contributions from every layer.
     """
-    score, cache = forward_batch(ids, mask, params, cfg, train=train, rng=rng)
+    score, cache = forward_batch(ids, mask, params, cfg, train=train, rng=rng, keep_cache=True)
     gold = np.asarray(gold, dtype=np.float64)
     n_batch = score.shape[0]
     diff = score - gold
@@ -619,6 +665,7 @@ def train(
         val_pearsons=val_pearsons,
         epoch_seconds=epoch_seconds,
         steps_per_epoch=steps_per_epoch,
+        val_predictions=preds,
     )
     return params, trace
 
@@ -638,12 +685,12 @@ def predict(
 def model_fold_trainer(
     d: Dataset, train_idx: Sequence[int], val_idx: Sequence[int], cfg: ModelConfig
 ) -> FoldOutcome:
-    """Fold hook for cross-validation: train, then score the held-out rows."""
+    """Fold hook for cross-validation: train, then report the held-out
+    scores that training's last validation pass already computed."""
     vocab = build_vocab(d.subset(list(train_idx)), min_freq=1, max_size=cfg.vocab_size - 4)
     params, trace = train(d, (list(train_idx), list(val_idx)), cfg, vocab=vocab)
-    preds = predict(d, val_idx, params, cfg, vocab)
     return FoldOutcome(
-        predictions=preds.tolist(),
+        predictions=trace.val_predictions.tolist(),
         train_loss=trace.final_epoch_train_loss(),
         trace=trace,
         extras={"params": params, "vocab": vocab, "config": cfg},
@@ -716,38 +763,52 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
-    """Inverse of save_checkpoint; bit-exact round trip."""
+    """Inverse of save_checkpoint; bit-exact round trip.
+
+    The payload is read once into one float64 buffer that every array
+    views. A payload holding a NaN or infinity raises NonFiniteWeights,
+    so a damaged checkpoint cannot serve ``nan`` scores.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            head = handle.read(len(MAGIC) + 4)
+            if len(head) < len(MAGIC) + 4 or head[: len(MAGIC)] != MAGIC:
+                raise BadMagic(f"{path}: not a checkpoint (bad magic bytes)")
+            (blob_len,) = struct.unpack_from("<I", head, len(MAGIC))
+            blob = handle.read(blob_len)
+            if len(blob) < blob_len:
+                raise ShapeMismatch(f"{path}: truncated config block")
+            try:
+                cfg = _config_from_dict(json.loads(blob.decode("utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ShapeMismatch(f"{path}: unreadable config block: {exc}") from exc
+
+            shapes = _param_shapes(cfg)
+            ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
+            have = (size - handle.tell()) // 8
+            if have < ends[-1]:
+                name = next(n for n, end in zip(shapes, ends) if end > have)
+                raise ShapeMismatch(f"{path}: truncated at array {name!r}")
+            extra = size - handle.tell() - ends[-1] * 8
+            if extra:
+                raise ShapeMismatch(f"{path}: {extra} trailing bytes")
+            payload = np.empty(ends[-1], dtype="<f8")
+            if handle.readinto(payload) != payload.nbytes:
+                raise ShapeMismatch(f"{path}: truncated while reading")
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint (bad magic bytes)")
-    (blob_len,) = struct.unpack_from("<I", raw, len(MAGIC))
-    header_end = len(MAGIC) + 4 + blob_len
-    if len(raw) < header_end:
-        raise ShapeMismatch(f"{path}: truncated config block")
-    try:
-        data = json.loads(raw[len(MAGIC) + 4 : header_end].decode("utf-8"))
-        cfg = _config_from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"{path}: unreadable config block: {exc}") from exc
-
-    flat: dict[str, np.ndarray] = {}
-    offset = header_end
-    for name, shape in _param_shapes(cfg).items():
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        need = count * 8
-        if len(raw) - offset < need:
-            raise ShapeMismatch(f"{path}: truncated at array {name!r}")
-        flat[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
+    payload = payload.astype(np.float64, copy=False)
+    if not np.isfinite(payload).all():
+        name = next(
+            n for n, start, end in zip(shapes, [0, *ends], ends)
+            if not np.isfinite(payload[start:end]).all()
         )
-        offset += need
-    if offset != len(raw):
-        raise ShapeMismatch(f"{path}: {len(raw) - offset} trailing bytes")
+        raise NonFiniteWeights(f"{path}: array {name!r} holds a NaN or infinite value")
+    flat = {
+        name: payload[start:end].reshape(shape)
+        for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends)
+    }
     return _assemble(flat, cfg), cfg

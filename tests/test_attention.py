@@ -321,7 +321,7 @@ def test_backward_rejects_wrong_upstream_shape():
     cfg = small_config()
     params = random_params(cfg, 32)
     h = np.random.default_rng(0).normal(0, 1, (2, 4, 8))
-    _, _, cache = forward_batched(h, params, cfg, np.ones((2, 4)))
+    _, _, cache = forward_batched(h, params, cfg, np.ones((2, 4)), keep_cache=True)
     with pytest.raises(ShapeMismatch):
         backward_batched(np.zeros((2, 5, 8)), cache)
 
@@ -332,7 +332,7 @@ def test_zero_upstream_gradient_zeroes_everything():
     cfg = small_config()
     params = random_params(cfg, 40)
     h = np.random.default_rng(41).normal(0, 1, (4, cfg.d_model))
-    out, _, cache = forward_batched(h[None], params, cfg, np.ones((1, 4)))
+    out, _, cache = forward_batched(h[None], params, cfg, np.ones((1, 4)), keep_cache=True)
     grads = backward_batched(np.zeros_like(out), cache)
     for field in ("dh", "dwq_c", "dwk_c", "dwv", "dwq_r", "dwk_r", "drel_embed", "dwo"):
         assert np.all(getattr(grads, field) == 0.0)
@@ -354,6 +354,19 @@ def test_single_sequence_wrappers_agree_with_batched():
     assert np.array_equal(grads.dh, ref.dh[0])
 
 
+def test_cache_is_built_only_on_request():
+    cfg = small_config()
+    params = random_params(cfg, 53)
+    h = np.random.default_rng(54).normal(0, 1, (2, 5, cfg.d_model))
+    mask = np.ones((2, 5))
+    mask[1, 3:] = 0.0
+    out, raw, cache = forward_batched(h, params, cfg, mask)
+    assert cache is None
+    out_c, raw_c, cache_c = forward_batched(h, params, cfg, mask, keep_cache=True)
+    assert np.array_equal(out, out_c) and np.array_equal(raw, raw_c)
+    assert cache_c.probs.shape == (2, cfg.n_heads, 5, 5)
+
+
 def test_single_unmasked_key_pins_softmax_gradient():
     """One visible key pins every probability row at exactly 1, so no
     gradient can flow back through the score matrix."""
@@ -361,7 +374,7 @@ def test_single_unmasked_key_pins_softmax_gradient():
     params = random_params(cfg, 42)
     h = np.random.default_rng(43).normal(0, 1, (1, 3, cfg.d_model))
     mask = np.array([[1.0, 0.0, 0.0]])
-    out, _, cache = forward_batched(h, params, cfg, mask)
+    out, _, cache = forward_batched(h, params, cfg, mask, keep_cache=True)
     grads = backward_batched(np.random.default_rng(44).normal(0, 1, out.shape), cache)
     for field in ("dwq_c", "dwk_c", "dwq_r", "dwk_r"):
         assert np.all(getattr(grads, field) == 0.0)
@@ -384,7 +397,7 @@ def finite_difference_check(cfg, seed, with_dropout=False, h_step=1e-5, tol=1e-4
     d_out = rng.normal(0, 1, h.shape)
 
     def run():
-        out, _, cache = forward_batched(h, params, cfg, mask, drop)
+        out, _, cache = forward_batched(h, params, cfg, mask, drop, keep_cache=True)
         return float(np.sum(out * d_out)), cache
 
     loss0, cache = run()

@@ -9,6 +9,8 @@ checked against the documented contract: 0 success, 1 I/O failure,
 from __future__ import annotations
 
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -300,6 +302,42 @@ def test_score_missing_vocab_sidecar_exits_1(crossval_run, tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_score_non_finite_checkpoint_exits_3(crossval_run, tmp_path, capsys):
+    _, _, out = crossval_run
+    raw = bytearray((out / "fold_0.ckpt").read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))  # out_b, the last array
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(raw))
+    shutil.copyfile(out / "fold_0.ckpt.vocab.txt", f"{bad}.vocab.txt")
+    code = run_cli(
+        "score", "--checkpoint", bad,
+        "--anchor", "anchor one", "--target", "target one", "--context", "ctx0",
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "out_b" in captured.err
+
+
+def test_score_vocab_longer_than_checkpoint_exits_2(crossval_run, tmp_path, capsys):
+    _, _, out = crossval_run
+    ckpt = tmp_path / "wide.ckpt"
+    ckpt.write_bytes((out / "fold_0.ckpt").read_bytes())
+    _, cfg = model.load_checkpoint(ckpt)
+    words = [f"w{i}" for i in range(cfg.vocab_size)]
+    Path(f"{ckpt}.vocab.txt").write_text("\n".join(SPECIAL_TOKENS + tuple(words)) + "\n", encoding="utf-8")
+    code = run_cli(
+        "score", "--checkpoint", ckpt,
+        "--anchor", words[-1], "--target", "b", "--context", "c",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(cfg.vocab_size) in captured.err
 
 
 # ---------------------------------------------------------------- exit mapping

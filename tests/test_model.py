@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from phraselab import model as M
 from phraselab.attention import AttentionConfig
 from phraselab.errors import (
+    AllMasked,
     BadMagic,
     ConfigError,
     EmptySplit,
     NonFiniteLoss,
+    NonFiniteWeights,
     ShapeMismatch,
     UnknownPreset,
 )
@@ -306,6 +310,111 @@ def test_gradient_clipping_rescales_to_unit_norm():
     assert np.array_equal(small["a"], np.array([0.3, 0.4]))
 
 
+# ------------------------------------------------------- inference forward
+
+def inflated_micro_params(cfg, factor=15.0):
+    """Seeded micro parameters scaled up so attention is far from uniform."""
+    params = M.init_params(cfg)
+    for _name, arr in params.named_arrays():
+        arr *= factor
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_trimmed_eval_forward_matches_cached_full_length_forward(seed):
+    """Random masks, holes included: the cache-free forward, which drops
+    the trailing all-padding columns, scores as the full-length forward
+    that loss_and_grads differentiates."""
+    cfg = micro_config(layers=2, max_len=8, ffn_dim=6)
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(seed)
+    n_batch = int(rng.integers(1, 5))
+    ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
+    mask = (rng.random((n_batch, cfg.max_len)) < rng.random()).astype(np.float64)
+    mask[np.arange(n_batch), rng.integers(0, cfg.max_len, n_batch)] = 1.0
+    if rng.random() < 0.5:
+        mask[:, int(rng.integers(1, cfg.max_len)):] = 0.0
+        mask[:, 0] = 1.0
+    gold = rng.random(n_batch)
+
+    got, cache = M.forward_batch(ids, mask, params, cfg)
+    _, _, want = M.loss_and_grads(ids, mask, gold, params, cfg, train=False)
+    assert cache is None
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_trimmed_eval_forward_is_bit_exact_on_the_golden_input():
+    cfg = replace(M.presets("small"), seed=7)
+    params = M.init_params(cfg)
+    ids = np.arange(2, 18)[None]
+    mask = np.array([[1.0] * 10 + [0.0] * 6])
+    trimmed, _ = M.forward_batch(ids, mask, params, cfg)
+    full, _ = M.forward_batch(ids, mask, params, cfg, keep_cache=True)
+    assert trimmed[0] == full[0] == GOLDEN_SEED7_SMALL_SCORE
+
+
+def test_row_score_does_not_depend_on_its_batch_mates():
+    """A short row scores the same alone (trimmed to its own length) and
+    next to a full-length row (not trimmed at all)."""
+    cfg = micro_config(layers=2, max_len=8, ffn_dim=6)
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(12)
+    ids = rng.integers(0, cfg.vocab_size, (2, cfg.max_len))
+    mask = np.ones((2, cfg.max_len))
+    mask[0, 3:] = 0.0
+    alone, _ = M.forward_batch(ids[:1], mask[:1], params, cfg)
+    batched, _ = M.forward_batch(ids, mask, params, cfg)
+    assert abs(alone[0] - batched[0]) <= 1e-12
+
+
+def test_eval_forward_of_an_all_masked_batch_raises():
+    cfg = micro_config()
+    params = M.init_params(cfg)
+    ids = np.zeros((2, cfg.max_len), dtype=np.intp)
+    with pytest.raises(AllMasked):
+        M.forward_batch(ids, np.zeros((2, cfg.max_len)), params, cfg)
+
+
+def test_eval_forward_keeps_no_block_activations():
+    """The peak traced allocation of a batch-256 small-preset eval forward
+    on full-length rows (nothing to trim) stays below the FFN arrays that
+    two blocks of the training cache hold (pre-activation, GELU tanh and
+    activation), so no block's activations outlive the block."""
+    cfg = M.presets("small")
+    params = M.init_params(cfg)
+    n_batch = 256
+    rng = np.random.default_rng(3)
+    ids = rng.integers(4, 64, (n_batch, cfg.max_len))
+    mask = np.ones((n_batch, cfg.max_len))
+    ffn_block_bytes = 3 * n_batch * cfg.max_len * cfg.ffn_dim * 8
+    M.forward_batch(ids, mask, params, cfg)  # fill the bucket-table cache first
+    tracemalloc.start()
+    try:
+        score, cache = M.forward_batch(ids, mask, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache is None and score.shape == (n_batch,)
+    assert peak < 2 * ffn_block_bytes
+
+
+def test_fold_trainer_reports_the_scores_predict_gives():
+    d = overlap_dataset(n_pairs=8, n_extra=3)
+    cfg = micro_config(
+        max_len=16,
+        vocab_size=64,
+        attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8),
+        epochs=2,
+        batch_size=2,
+        dropout_rate=0.1,
+    )
+    train_idx, val_idx = list(range(8)), [8, 9, 10]
+    outcome = M.model_fold_trainer(d, train_idx, val_idx, cfg)
+    again = M.predict(d, val_idx, outcome.extras["params"], cfg, outcome.extras["vocab"])
+    assert outcome.predictions == again.tolist()
+
+
 # ---------------------------------------------------------------- training
 
 def test_training_loss_converges_on_constant_gold():
@@ -506,6 +615,22 @@ def test_checkpoint_trailing_bytes_detected(tmp_path):
     bloated.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ShapeMismatch):
         M.load_checkpoint(bloated)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_checkpoint_with_non_finite_weight_is_rejected(tmp_path, bad, where):
+    cfg = micro_config()
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(M.init_params(cfg), cfg, path)
+    raw = bytearray(path.read_bytes())
+    n_params = sum(arr.size for _, arr in M.init_params(cfg).named_arrays())
+    at = len(raw) - 8 * n_params if where == "first" else len(raw) - 8
+    raw[at : at + 8] = struct.pack("<d", bad)
+    path.write_bytes(bytes(raw))
+    name = "token_embed" if where == "first" else "out_b"
+    with pytest.raises(NonFiniteWeights, match=name):
+        M.load_checkpoint(path)
 
 
 def test_missing_checkpoint_is_io_error(tmp_path):
