@@ -22,7 +22,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -59,7 +59,11 @@ MAGIC = b"SSLB1"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters for one encoder instance."""
+    """Hyperparameters for one encoder instance.
+
+    ``vocab_size`` caps the vocabulary; a trained token table has one
+    row per vocabulary entry, and its checkpoint records that count.
+    """
 
     layers: int
     ffn_dim: int
@@ -231,14 +235,21 @@ def _assemble(flat: dict[str, np.ndarray], cfg: ModelConfig) -> ModelParams:
     )
 
 
-def init_params(cfg: ModelConfig) -> ModelParams:
+def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
     """Seeded initialization.
 
     Weights draw from N(0, 0.02^2) truncated by clipping at two
     standard deviations; layer-norm gains start at 1 and every bias at
     0. The draw order follows declaration order, so a given seed
     always produces bit-identical parameters.
+
+    ``rows`` keeps only the first rows of the token table (training
+    passes the vocabulary size, since no id reaches past it). The full
+    ``vocab_size`` table is still drawn, so the random stream, the kept
+    rows and every other array are the same as without the cut.
     """
+    if rows is not None and not 1 <= rows <= cfg.vocab_size:
+        raise ConfigError(f"token table rows must be in [1, {cfg.vocab_size}], got {rows}")
     rng = np.random.default_rng(cfg.seed)
     flat: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(cfg).items():
@@ -249,6 +260,9 @@ def init_params(cfg: ModelConfig) -> ModelParams:
             flat[name] = np.zeros(shape)
         else:
             flat[name] = np.clip(rng.normal(0.0, 0.02, shape), -0.04, 0.04)
+    if rows is not None:
+        # a copy, so the rows past the vocabulary are freed
+        flat["token_embed"] = flat["token_embed"][:rows].copy()
     return _assemble(flat, cfg)
 
 
@@ -332,14 +346,18 @@ def _block_forward(
     """One pre-norm block; returns (hidden states, block cache or None).
 
     ``drop_rng`` draws the block's two dropout masks and is None when
-    dropout is off. Everything not returned is freed on return.
+    dropout is off. The masks are drawn at full ``max_len`` and cut to
+    the batch width, so the random stream does not depend on trimming.
+    Everything not returned is freed on return.
     """
+    n_batch, length = x.shape[:2]
     n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b)
     prob_drop = None
     if drop_rng is not None:
         keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
-        shape = (x.shape[0], cfg.n_heads, x.shape[1], x.shape[1])
-        prob_drop = (drop_rng.random(shape) >= cfg.dropout_rate) * keep_scale
+        shape = (n_batch, cfg.n_heads, cfg.max_len, cfg.max_len)
+        keep = drop_rng.random(shape) >= cfg.dropout_rate
+        prob_drop = keep[:, :, :length, :length] * keep_scale
     attn_out, _, attn_cache = attn_mod.forward_batched(
         n1, lay.attn, cfg.attention, mask, prob_drop, keep_cache
     )
@@ -351,7 +369,8 @@ def _block_forward(
     ffn_drop = None
     used = act
     if drop_rng is not None:
-        ffn_drop = (drop_rng.random(act.shape) >= cfg.dropout_rate) * keep_scale
+        keep = drop_rng.random((n_batch, cfg.max_len, cfg.ffn_dim)) >= cfg.dropout_rate
+        ffn_drop = keep[:, :length] * keep_scale
         used = act * ffn_drop
     x = xb + used @ lay.w2 + lay.b2
     if not keep_cache:
@@ -368,6 +387,16 @@ def _block_forward(
     }
 
 
+def _real_width(mask: np.ndarray) -> int:
+    """Columns up to and including the last one real in any row.
+
+    One column at least, so a batch with no real token still reaches
+    the softmax and raises AllMasked there.
+    """
+    real = np.flatnonzero(mask.any(axis=0))
+    return int(real[-1]) + 1 if real.size else 1
+
+
 def forward_batch(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -379,18 +408,20 @@ def forward_batch(
 ):
     """Forward pass over a batch; returns (scores, cache).
 
-    ``ids`` and ``mask`` are (B, max_len). In training mode dropout
-    masks are drawn from ``rng`` after the attention probabilities and
-    after the FFN activation, exactly one draw pair per block.
+    ``ids`` and ``mask`` are (B, max_len), and every id must index a
+    row of ``params.token_embed``. In training mode dropout masks are
+    drawn from ``rng`` after the attention probabilities and after the
+    FFN activation, exactly one draw pair per block.
 
     The cache holds what ``loss_and_grads`` reads on the way back; it
-    is built only when ``keep_cache`` is set and is None otherwise. A
-    call that keeps no cache and draws no dropout first drops the
-    trailing columns that are padding in every row. That changes no
-    score in exact arithmetic: masked keys get probability exp(-inf) =
-    0, layer norm and the FFN act per position, relative buckets depend
-    only on the offset and the absolute table is read from position 0,
-    so only zero terms leave the softmax sums and the value mixing.
+    is built only when ``keep_cache`` is set and is None otherwise.
+    Every call first drops the trailing columns that are padding in
+    every row. That changes no score in exact arithmetic: masked keys
+    get probability exp(-inf) = 0, layer norm and the FFN act per
+    position, relative buckets depend only on the offset and the
+    absolute table is read from position 0, so only zero terms leave
+    the softmax sums and the value mixing. The gradients lose only
+    zero rows, which moves the summation order by a few ulps.
     """
     ids = np.asarray(ids)
     mask = np.asarray(mask)
@@ -398,16 +429,18 @@ def forward_batch(
         raise ShapeMismatch(f"ids must be (B, {cfg.max_len}), got {ids.shape}")
     if mask.shape != ids.shape:
         raise ShapeMismatch(f"mask shape {mask.shape} != ids shape {ids.shape}")
+    rows = params.token_embed.shape[0]
+    if ids.size:
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < 0 or hi >= rows:
+            bad = lo if lo < 0 else hi
+            raise ShapeMismatch(f"token id {bad} outside the embedding table's rows [0, {rows})")
     use_dropout = train and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("training-mode dropout needs a random generator")
 
-    if not (keep_cache or use_dropout):
-        real = np.flatnonzero(mask.any(axis=0))
-        # one column at least, so a batch with no real token still
-        # reaches the softmax and raises AllMasked there
-        width = int(real[-1]) + 1 if real.size else 1
-        ids, mask = ids[:, :width], mask[:, :width]
+    width = _real_width(mask)
+    ids, mask = ids[:, :width], mask[:, :width]
     length = ids.shape[1]
 
     x = params.token_embed[ids]
@@ -520,16 +553,20 @@ def loss_and_grads(
         dx = dx + d_n1
 
         if li == cache["inject_at"]:
-            grads["abs_pos_embed"] += dx.sum(axis=0)
+            grads["abs_pos_embed"][:length] += dx.sum(axis=0)
 
     np.add.at(grads["token_embed"], cache["ids"], dx)
     return loss, grads, score
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
-    """Scale all gradients in place so their joint L2 norm <= max_norm."""
+    """Scale all gradients in place so their joint L2 norm <= max_norm.
+
+    Returns the pre-clip norm. A NaN or infinite norm is returned with
+    the gradients untouched, for the caller to refuse.
+    """
     total = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm and total > 0.0:
+    if max_norm < total < math.inf:
         factor = max_norm / total
         for g in grads.values():
             g *= factor
@@ -610,8 +647,10 @@ def train(
     """Fit on the train side of ``split``, tracking the validation side.
 
     The vocabulary defaults to one built from the training rows only,
-    so nothing from the validation side leaks into the token table.
-    Raises NonFiniteLoss as soon as a step produces a NaN or infinity.
+    so nothing from the validation side leaks into the token table,
+    and the table has one row per vocabulary entry. Raises
+    NonFiniteLoss as soon as a step produces a NaN or infinite loss or
+    gradient norm.
     """
     train_idx = list(split[0])
     val_idx = list(split[1])
@@ -626,7 +665,7 @@ def train(
     tr_ids, tr_mask, tr_gold = _encode_rows(d, train_idx, vocab, cfg)
     va_ids, va_mask, va_gold = _encode_rows(d, val_idx, vocab, cfg)
 
-    params = init_params(cfg)
+    params = init_params(cfg, rows=len(vocab))
     opt = AdamState(cfg, params)
     rng = np.random.default_rng(cfg.seed)
 
@@ -647,7 +686,9 @@ def train(
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"step {len(step_losses)}: loss is {loss!r}")
-            clip_global_norm(grads, 1.0)
+            norm = clip_global_norm(grads, 1.0)
+            if not math.isfinite(norm):
+                raise NonFiniteLoss(f"step {len(step_losses)}: gradient norm is {norm!r}")
             opt.update(params, grads)
             step_losses.append(loss)
         preds = _batched_scores(va_ids, va_mask, params, cfg)
@@ -741,9 +782,12 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
 
     Arrays are written little-endian in declaration order with no
     per-array framing; shapes are fully determined by the config
-    block. A JSON config echo is written next to the checkpoint.
+    block, whose ``vocab_size`` is the token table's row count (the
+    fold's vocabulary for a trained model). A JSON config echo is
+    written next to the checkpoint.
     """
     path = Path(path)
+    cfg = replace(cfg, vocab_size=params.token_embed.shape[0])
     blob = json.dumps(config_dict(cfg), sort_keys=True).encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

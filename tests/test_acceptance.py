@@ -280,7 +280,7 @@ def test_7_training_sanity_synthetic_overfit():
 
         frozen = replace(cfg, learning_rate=0.0, epochs=1)
         params0, _ = model.train(d, (train_idx, list(range(32, 36))), frozen, vocab=vocab)
-        fresh = model.init_params(frozen)
+        fresh = model.init_params(frozen, rows=params0.token_embed.shape[0])
         for (name, got), (_, want) in zip(params0.named_arrays(), fresh.named_arrays()):
             assert np.array_equal(got, want), name
 

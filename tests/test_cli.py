@@ -186,6 +186,28 @@ def test_crossval_writes_per_fold_artifacts(crossval_run):
         assert len(pearson) == 2
 
 
+def test_crossval_report_matches_the_golden_copy(crossval_run):
+    """The fixture's cv_report.json is pinned byte for byte; a change
+    that claims identical training must leave it untouched."""
+    _, _, out = crossval_run
+    golden = Path(__file__).parent / "golden" / "cv_report_xsmall_seed11.json"
+    assert (out / "cv_report.json").read_bytes() == golden.read_bytes()
+
+
+def test_crossval_checkpoints_are_sized_to_the_fold_vocabulary(crossval_run):
+    _, _, out = crossval_run
+    report = json.loads((out / "cv_report.json").read_text(encoding="utf-8"))
+    assert report["config"]["vocab_size"] == 8192  # the preset's cap
+    for fold in range(2):
+        ckpt = out / f"fold_{fold}.ckpt"
+        rows = len(load_vocab(f"{ckpt}.vocab.txt"))
+        params, cfg = model.load_checkpoint(ckpt)
+        assert params.token_embed.shape == (rows, cfg.d_model)
+        assert cfg.vocab_size == rows
+        echo = json.loads(Path(f"{ckpt}.json").read_text(encoding="utf-8"))
+        assert echo["vocab_size"] == rows
+
+
 def test_crossval_manifest_covers_every_artifact(crossval_run):
     _, data, out = crossval_run
     manifest = read_manifest(out)

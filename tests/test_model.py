@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import struct
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from phraselab.errors import (
     ShapeMismatch,
     UnknownPreset,
 )
-from phraselab.text import TokenSequence
+from phraselab.text import TokenSequence, build_vocab
 
 from conftest import make_dataset, overlap_dataset
 
@@ -74,6 +76,22 @@ def test_init_weight_statistics():
     assert abs(float(np.mean(sample))) < 0.001
 
 
+def test_init_rows_keep_the_leading_rows_of_the_full_draw():
+    cfg = micro_config(layers=2, vocab_size=64)
+    full = M.init_params(cfg)
+    cut = M.init_params(cfg, rows=9)
+    assert cut.token_embed.shape == (9, cfg.d_model)
+    assert cut.token_embed.base is None  # the dropped rows are not kept alive
+    assert np.array_equal(cut.token_embed, full.token_embed[:9])
+    for (name, got), (_, want) in itertools.islice(
+        zip(cut.named_arrays(), full.named_arrays()), 1, None
+    ):
+        assert np.array_equal(got, want), name
+    for bad in (0, cfg.vocab_size + 1):
+        with pytest.raises(ConfigError):
+            M.init_params(cfg, rows=bad)
+
+
 def test_shared_relative_table_is_aliased():
     params = M.init_params(micro_config(layers=3))
     for lay in params.layers:
@@ -104,6 +122,33 @@ def test_forward_score_strictly_inside_unit_interval():
         mask = tuple([1] * n_real + [0] * (cfg.max_len - n_real))
         score = M.forward(TokenSequence(ids=ids, attention_mask=mask), params, cfg)
         assert 0.0 < score < 1.0
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+@pytest.mark.parametrize("column", [2, 5])  # 5 is padding, cut by the trim
+def test_token_ids_outside_the_table_raise_shape_mismatch(bad, column):
+    cfg = micro_config()
+    params = M.init_params(cfg, rows=8)
+    ids = [2, 4, 5, 7, 3, 0]
+    ids[column] = bad
+    mask = [1, 1, 1, 1, 1, 0]
+    with pytest.raises(ShapeMismatch, match=rf"token id {bad} outside .*\[0, 8\)"):
+        M.forward(TokenSequence(ids=tuple(ids), attention_mask=tuple(mask)), params, cfg)
+    with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
+        M.loss_and_grads(np.array([ids]), np.array([mask], dtype=float), np.array([0.5]),
+                         params, cfg, train=False)
+
+
+def test_predict_with_a_vocabulary_wider_than_the_table_raises_shape_mismatch():
+    d = overlap_dataset(n_pairs=4, n_extra=0)
+    vocab = build_vocab(d)
+    cfg = micro_config(max_len=16, vocab_size=64,
+                       attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8))
+    params = M.init_params(cfg, rows=6)
+    assert len(vocab) > 6
+    with pytest.raises(ShapeMismatch, match=r"\[0, 6\)") as excinfo:
+        M.predict(d, range(len(d)), params, cfg, vocab)
+    assert "\n" not in str(excinfo.value)
 
 
 def test_forward_rejects_wrong_length():
@@ -298,6 +343,37 @@ def test_micro_model_gradients_match_finite_differences():
             assert rel < 1e-4, (name, int(idx), an, fd, rel)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_trimmed_training_step_matches_the_full_length_step(seed):
+    """With dropout on, a training step cut after the batch's last real
+    column gives the loss and gradients of the full-length step, and
+    leaves the dropout generator in the same state."""
+    cfg = micro_config(layers=2, max_len=8, ffn_dim=6, dropout_rate=0.3)
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(seed)
+    n_batch = int(rng.integers(1, 5))
+    ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
+    mask = (rng.random((n_batch, cfg.max_len)) < rng.random()).astype(np.float64)
+    cut = int(rng.integers(1, cfg.max_len))
+    mask[:, cut:] = 0.0
+    mask[np.arange(n_batch), rng.integers(0, cut, n_batch)] = 1.0
+    gold = rng.random(n_batch)
+    assert M._real_width(mask) <= cut < cfg.max_len
+
+    trimmed_rng = np.random.default_rng(seed)
+    loss, grads, _ = M.loss_and_grads(ids, mask, gold, params, cfg, rng=trimmed_rng)
+    full_rng = np.random.default_rng(seed)
+    with mock.patch.object(M, "_real_width", lambda m: m.shape[1]):
+        full_loss, full_grads, _ = M.loss_and_grads(ids, mask, gold, params, cfg, rng=full_rng)
+
+    assert abs(loss - full_loss) <= 1e-12
+    for name, want in full_grads.items():
+        assert grads[name].shape == want.shape, name
+        assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+    assert trimmed_rng.bit_generator.state == full_rng.bit_generator.state
+
+
 def test_gradient_clipping_rescales_to_unit_norm():
     grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
     total = M.clip_global_norm(grads, 1.0)
@@ -449,11 +525,43 @@ def test_zero_learning_rate_keeps_params_bit_identical():
         dropout_rate=0.1,
     )
     params, trace = M.train(d, (list(range(8)), [8, 9]), cfg)
-    fresh = M.init_params(cfg)
+    fresh = M.init_params(cfg, rows=params.token_embed.shape[0])
     for (name, got), (_, want) in zip(params.named_arrays(), fresh.named_arrays()):
         assert np.array_equal(got, want), name
     # loss trace constant per repeated pass over identical parameters
     assert len(set(trace.val_losses)) == 1
+
+
+def test_training_sizes_the_token_table_and_adam_slots_to_the_vocabulary(tmp_path, monkeypatch):
+    made = []
+
+    class RecordingAdam(M.AdamState):
+        def __init__(self, cfg, params):
+            super().__init__(cfg, params)
+            made.append(self)
+
+    monkeypatch.setattr(M, "AdamState", RecordingAdam)
+    d = overlap_dataset(n_pairs=8, n_extra=2)
+    cfg = micro_config(
+        max_len=16,
+        vocab_size=64,
+        attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8),
+        epochs=1,
+        batch_size=4,
+    )
+    outcome = M.model_fold_trainer(d, list(range(8)), [8, 9], cfg)
+    params, rows = outcome.extras["params"], len(outcome.extras["vocab"])
+    assert rows < cfg.vocab_size
+    assert params.token_embed.shape == (rows, cfg.d_model)
+    (opt,) = made
+    assert opt.m["token_embed"].shape == opt.v["token_embed"].shape == (rows, cfg.d_model)
+
+    path = M.save_checkpoint(params, cfg, tmp_path / "fold.ckpt")
+    loaded, loaded_cfg = M.load_checkpoint(path)
+    assert loaded_cfg == replace(cfg, vocab_size=rows)
+    assert np.array_equal(loaded.token_embed, params.token_embed)
+    echo = json.loads((tmp_path / "fold.ckpt.json").read_text(encoding="utf-8"))
+    assert echo["vocab_size"] == rows
 
 
 def test_training_is_deterministic_across_runs():
@@ -501,6 +609,34 @@ def test_divergent_training_raises_non_finite_loss():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteLoss):
             M.train(d, (list(range(8)), [8, 9]), cfg)
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf])
+def test_non_finite_gradient_norm_raises_naming_the_step(poison, monkeypatch):
+    """A finite loss with a non-finite gradient must stop training
+    before the optimizer spreads it into the parameters."""
+    d = overlap_dataset(n_pairs=8, n_extra=2)
+    cfg = micro_config(
+        max_len=16,
+        vocab_size=64,
+        attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8),
+        epochs=2,
+        batch_size=4,
+    )
+    real = M.loss_and_grads
+    steps = []
+
+    def poisoned(*args, **kwargs):
+        loss, grads, score = real(*args, **kwargs)
+        steps.append(loss)
+        if len(steps) == 4:  # the last of 2 epochs x 2 steps
+            grads["layers.0.w1"][0, 0] = poison
+        return loss, grads, score
+
+    monkeypatch.setattr(M, "loss_and_grads", poisoned)
+    with pytest.raises(NonFiniteLoss, match=r"^step 3: gradient norm is (nan|inf)$"):
+        M.train(d, (list(range(8)), [8, 9]), cfg)
+    assert all(math.isfinite(loss) for loss in steps)
 
 
 def test_capacity_separation_on_overfit_task():
