@@ -25,6 +25,7 @@ the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,9 @@ class AttentionConfig:
     scale_mode: str = "per_term"
 
     def __post_init__(self) -> None:
+        for name in ("d_model", "n_heads", "max_rel_distance"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d_model < 1 or self.n_heads < 1:
             raise ConfigError(f"d_model and n_heads must be positive, got {self.d_model}, {self.n_heads}")
         if self.d_model % self.n_heads != 0:
@@ -111,14 +115,11 @@ class AttentionCache:
     """Everything the backward pass needs from one forward pass."""
 
     h: np.ndarray
-    mask: np.ndarray
     qc: np.ndarray
     kc: np.ndarray
     v: np.ndarray
     qr: np.ndarray
     kr: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
     probs: np.ndarray
     used: np.ndarray
     drop: Optional[np.ndarray]
@@ -158,11 +159,13 @@ _TABLES: dict = {}
 def _bucket_tables(length: int, k: int):
     """Cached index machinery for one (sequence length, clamp) pair.
 
-    Returns (b1, b2, b1_keys, key_cols, onehot, pair_flat):
-      b1[m, n]      bucket of query m relative to key n
-      b2            b1 transposed (key relative to query)
-      b1_keys       b1 broadcast to (1, 1, L, L) for take_along_axis
-      key_cols      (L, L) column index grid, key_cols[m, n] = n
+    With b1[m, n] the bucket of query m relative to key n and b2 its
+    transpose (key relative to query), returns
+    (q_take, k_take, onehot, pair_flat):
+      q_take        (L, L) flat index m*2k + b1[m, n] into a
+                    query-indexed (L, 2k) bucket field
+      k_take        (L, L) flat index n*2k + b2[m, n] into a
+                    key-indexed (L, 2k) bucket field
       onehot        (L, L, 2k) float one-hot of b1, used as a scatter
                     matrix: contracting an (L, L) field against it sums
                     entries into their bucket
@@ -175,15 +178,12 @@ def _bucket_tables(length: int, k: int):
     b1 = bucket_matrix(length, k)
     b2 = b1.T.copy()
     n_buckets = 2 * k
+    pos = np.arange(length)
     onehot = np.zeros((length, length, n_buckets))
-    rows = np.repeat(np.arange(length), length)
-    cols = np.tile(np.arange(length), length)
-    onehot[rows, cols, b1.ravel()] = 1.0
+    onehot[pos[:, None], pos[None, :], b1] = 1.0
     tables = (
-        b1,
-        b2,
-        b1[None, None, :, :],
-        np.broadcast_to(np.arange(length)[None, :], (length, length)),
+        pos[:, None] * n_buckets + b1,
+        pos[None, :] * n_buckets + b2,
         onehot,
         (b1 * n_buckets + b2).ravel(),
     )
@@ -202,10 +202,11 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     keep = np.asarray(key_mask, dtype=bool)
     if not np.all(np.any(keep, axis=-1)):
         raise AllMasked("attention mask hides every key position")
-    shifted = np.where(keep[..., None, :], scores, -np.inf)
-    shifted = shifted - np.max(shifted, axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / np.sum(weights, axis=-1, keepdims=True)
+    weights = np.where(keep[..., None, :], scores, -np.inf)
+    weights -= np.max(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=-1, keepdims=True)
+    return weights
 
 
 def active_term_count(params: AttentionParams, cfg: AttentionConfig) -> int:
@@ -238,13 +239,12 @@ def scale_denominator(params: AttentionParams, cfg: AttentionConfig) -> float:
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., L, d) -> (..., H, L, d/H); heads are contiguous slices."""
     *lead, length, d = x.shape
-    out = x.reshape(*lead, length, n_heads, d // n_heads)
-    return np.moveaxis(out, -2, -3)
+    return x.reshape(*lead, length, n_heads, d // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., H, L, dh) -> (..., L, H*dh); inverse of _split_heads."""
-    moved = np.moveaxis(x, -3, -2)
+    moved = x.swapaxes(-3, -2)
     *lead, length, n_heads, dh = moved.shape
     return np.ascontiguousarray(moved).reshape(*lead, length, n_heads * dh)
 
@@ -291,15 +291,16 @@ def forward_batched(
     qr = _split_heads(params.rel_embed @ params.wq_r, n_heads)  # (H, 2k, dh)
     kr = _split_heads(params.rel_embed @ params.wk_r, n_heads)
 
-    b1, b2, b1_keys, key_cols, _, pair_flat = _bucket_tables(length, k)
+    q_take, k_take, _, pair_flat = _bucket_tables(length, k)
+    lead = qc.shape[:2]
 
     # each bilinear term is computed in bucket space with one batched
     # matmul and then gathered per (query, key) pair
     raw = qc @ kc.swapaxes(-1, -2)
     q_buckets = qc @ kr.swapaxes(-1, -2)[None]  # (B, H, L, 2k)
-    raw += np.take_along_axis(q_buckets, b1_keys, axis=-1)
+    raw += q_buckets.reshape(*lead, -1).take(q_take, axis=-1)
     k_buckets = kc @ qr.swapaxes(-1, -2)[None]  # (B, H, L, 2k), key indexed
-    raw += k_buckets[:, :, key_cols, b2]
+    raw += k_buckets.reshape(*lead, -1).take(k_take, axis=-1)
     if cfg.include_p2p:
         pp = qr @ kr.swapaxes(-1, -2)  # (H, 2k, 2k)
         raw += pp.reshape(n_heads, -1)[:, pair_flat].reshape(n_heads, length, length)[None]
@@ -315,8 +316,7 @@ def forward_batched(
         return out, raw, None
 
     cache = AttentionCache(
-        h=h, mask=np.asarray(mask, dtype=bool), qc=qc, kc=kc, v=v, qr=qr, kr=kr,
-        b1=b1, b2=b2, probs=probs, used=used, drop=prob_dropout,
+        h=h, qc=qc, kc=kc, v=v, qr=qr, kr=kr, probs=probs, used=used, drop=prob_dropout,
         merged=merged, denom=denom, params=params, cfg=cfg,
     )
     return out, raw, cache
@@ -339,7 +339,7 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
     n_heads = cfg.n_heads
     n_batch, length = cache.h.shape[:2]
     n_buckets = cfg.n_buckets
-    _, _, _, _, onehot, pair_flat = _bucket_tables(length, cfg.max_rel_distance)
+    _, _, onehot, pair_flat = _bucket_tables(length, cfg.max_rel_distance)
 
     d_model = cfg.d_model
     dwo = cache.merged.reshape(-1, d_model).T @ d_out.reshape(-1, d_model)

@@ -97,14 +97,20 @@ class EdaReport:
         }
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedCsv:
+    bad = exc.object[exc.start]
+    return MalformedCsv(f"{path}: not valid UTF-8 (byte 0x{bad:02x}: {exc.reason})")
+
+
 def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
     """Parse a phrase-pair CSV into a validated dataset.
 
     The header must contain the columns id, anchor, target, context and
     score, in any order; extra columns are ignored. In strict mode the
     first bad row raises; in lenient mode bad rows are skipped and
-    counted in ``Dataset.skipped_rows``. A missing column is an error in
-    both modes because no row can be parsed without it.
+    counted in ``Dataset.skipped_rows``. A missing column and a file that
+    is not UTF-8 are errors in both modes, because no row can be parsed
+    then.
     """
     path = Path(path)
     try:
@@ -120,6 +126,8 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
             raise MissingColumn(f"{path}: file is empty, no header row") from None
         except csv.Error as exc:
             raise MalformedCsv(f"{path}: unparseable header: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
         columns = {name.strip(): i for i, name in enumerate(header)}
         missing = [c for c in REQUIRED_COLUMNS if c not in columns]
@@ -142,6 +150,10 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
                     raise MalformedCsv(f"{path}: row {line_no}: {exc}") from exc
                 skipped += 1
                 continue
+            except UnicodeDecodeError as exc:
+                # decoding runs ahead in blocks, so the bad byte is not
+                # pinned to a row: the whole file is refused, leniently too
+                raise _not_utf8(path, exc) from exc
             if not row:
                 continue
             try:

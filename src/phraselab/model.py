@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import struct
 import time
@@ -82,8 +83,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("layers", "ffn_dim", "vocab_size", "max_len", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 5:
@@ -335,22 +337,66 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
+@dataclass(frozen=True)
+class _TokenLayout:
+    """Where the packed rows of a batch sit in its (B, L) grid.
+
+    The position-wise layers run on an (N, ...) array holding only the
+    positions ``forward_batch`` keeps; attention runs on the grid.
+    ``pos`` lists each packed row's flat grid index and is None when
+    every slot is kept, so packing is a plain reshape.
+    """
+
+    n_batch: int
+    length: int
+    pos: Optional[np.ndarray]
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """(B, L, ...) -> (N, ...)."""
+        flat = grid.reshape(self.n_batch * self.length, *grid.shape[2:])
+        return flat if self.pos is None else flat[self.pos]
+
+    def scatter(self, packed: np.ndarray) -> np.ndarray:
+        """(N, ...) -> (B, L, ...), with zeros in the slots not kept."""
+        shape = (self.n_batch, self.length, *packed.shape[1:])
+        if self.pos is None:
+            return packed.reshape(shape)
+        grid = np.zeros((self.n_batch * self.length, *packed.shape[1:]))
+        grid[self.pos] = packed
+        return grid.reshape(shape)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Grid column of each packed row."""
+        flat = np.arange(self.n_batch * self.length) if self.pos is None else self.pos
+        return flat % self.length
+
+    @property
+    def cls_rows(self) -> np.ndarray:
+        """Packed row of each sequence's column 0."""
+        starts = np.arange(self.n_batch) * self.length
+        return starts if self.pos is None else np.searchsorted(self.pos, starts)
+
+
 def _block_forward(
     x: np.ndarray,
     lay: LayerParams,
     cfg: ModelConfig,
+    layout: _TokenLayout,
     mask: np.ndarray,
     drop_rng: Optional[np.random.Generator],
     keep_cache: bool,
 ):
-    """One pre-norm block; returns (hidden states, block cache or None).
+    """One pre-norm block on packed (N, d) states; returns (states, cache or None).
 
-    ``drop_rng`` draws the block's two dropout masks and is None when
-    dropout is off. The masks are drawn at full ``max_len`` and cut to
-    the batch width, so the random stream does not depend on trimming.
+    Attention reads the layer-norm output scattered into the (B, L)
+    grid, every other step runs on the packed rows. ``drop_rng`` draws
+    the block's two dropout masks and is None when dropout is off. The
+    masks are drawn at full ``max_len`` and then cut to the batch width
+    and packed, so the random stream does not depend on the layout.
     Everything not returned is freed on return.
     """
-    n_batch, length = x.shape[:2]
+    n_batch, length = layout.n_batch, layout.length
     n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b)
     prob_drop = None
     if drop_rng is not None:
@@ -359,9 +405,9 @@ def _block_forward(
         keep = drop_rng.random(shape) >= cfg.dropout_rate
         prob_drop = keep[:, :, :length, :length] * keep_scale
     attn_out, _, attn_cache = attn_mod.forward_batched(
-        n1, lay.attn, cfg.attention, mask, prob_drop, keep_cache
+        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache
     )
-    xb = x + attn_out
+    xb = x + layout.gather(attn_out)
     n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b)
     pre = n2 @ lay.w1
     pre += lay.b1
@@ -370,7 +416,7 @@ def _block_forward(
     used = act
     if drop_rng is not None:
         keep = drop_rng.random((n_batch, cfg.max_len, cfg.ffn_dim)) >= cfg.dropout_rate
-        ffn_drop = keep[:, :length] * keep_scale
+        ffn_drop = layout.gather(keep[:, :length]) * keep_scale
         used = act * ffn_drop
     x = xb + used @ lay.w2 + lay.b2
     if not keep_cache:
@@ -397,6 +443,17 @@ def _real_width(mask: np.ndarray) -> int:
     return int(real[-1]) + 1 if real.size else 1
 
 
+def _packed_positions(mask: np.ndarray) -> Optional[np.ndarray]:
+    """Flat grid indices of the positions the packed layout keeps.
+
+    Real positions and column 0 of every row, which the head reads
+    even where it is masked. None when that is every position.
+    """
+    keep = mask != 0
+    keep[:, 0] = True
+    return None if keep.all() else np.flatnonzero(keep)
+
+
 def forward_batch(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -416,12 +473,17 @@ def forward_batch(
     The cache holds what ``loss_and_grads`` reads on the way back; it
     is built only when ``keep_cache`` is set and is None otherwise.
     Every call first drops the trailing columns that are padding in
-    every row. That changes no score in exact arithmetic: masked keys
-    get probability exp(-inf) = 0, layer norm and the FFN act per
-    position, relative buckets depend only on the offset and the
-    absolute table is read from position 0, so only zero terms leave
-    the softmax sums and the value mixing. The gradients lose only
-    zero rows, which moves the summation order by a few ulps.
+    every row, then packs the real positions (and column 0 of each
+    row) into one (N, d) array: the embedding gather, the position
+    injection, both layer norms, the residuals and the FFN run on those
+    N rows only, and each attention call gets them scattered into a
+    zeroed (B, L, d) grid. That changes no score in exact arithmetic:
+    masked keys get probability exp(-inf) = 0, so whatever a masked
+    slot holds never reaches a real position; layer norm and the FFN
+    act per position; relative buckets depend only on the offset, and
+    the absolute table is indexed by each token's own column. The
+    gradients lose only zero rows, which moves the summation order by
+    a few ulps.
     """
     ids = np.asarray(ids)
     mask = np.asarray(mask)
@@ -441,7 +503,8 @@ def forward_batch(
 
     width = _real_width(mask)
     ids, mask = ids[:, :width], mask[:, :width]
-    length = ids.shape[1]
+    layout = _TokenLayout(ids.shape[0], width, _packed_positions(mask))
+    ids = layout.gather(ids)
 
     x = params.token_embed[ids]
     inject_at = cfg.layers - POSITION_INJECTION_BLOCKS_FROM_TOP
@@ -449,11 +512,11 @@ def forward_batch(
     blocks = []
     for li, lay in enumerate(params.layers):
         if li == inject_at:
-            x = x + params.abs_pos_embed[None, :length]
-        x, block_cache = _block_forward(x, lay, cfg, mask, drop_rng, keep_cache)
+            x = x + params.abs_pos_embed[layout.columns]
+        x, block_cache = _block_forward(x, lay, cfg, layout, mask, drop_rng, keep_cache)
         blocks.append(block_cache)
 
-    cls = x[:, 0]
+    cls = x[layout.cls_rows]
     pooled = np.tanh(cls @ params.head_w + params.head_b)
     logit = pooled @ params.out_w + params.out_b[0]
     score = _sigmoid(logit)
@@ -461,7 +524,7 @@ def forward_batch(
         return score, None
     cache = {
         "ids": ids,
-        "length": length,
+        "layout": layout,
         "inject_at": inject_at,
         "blocks": blocks,
         "cls": cls,
@@ -515,31 +578,31 @@ def loss_and_grads(
     grads["head_b"] += dpooled_pre.sum(axis=0)
     dcls = dpooled_pre @ params.head_w.T
 
-    length = cache["length"]
-    dx = np.zeros((n_batch, length, cfg.d_model))
-    dx[:, 0] = dcls
+    layout = cache["layout"]
+    dx = np.zeros((cache["ids"].size, cfg.d_model))
+    dx[layout.cls_rows] = dcls
 
     for li in range(cfg.layers - 1, -1, -1):
         lay = params.layers[li]
         blk = cache["blocks"][li]
         p = f"layers.{li}."
 
-        # feed-forward sub-block
+        # feed-forward sub-block, on the packed rows
         d_used = dx @ lay.w2.T
-        grads[p + "w2"] += blk["used"].reshape(-1, cfg.ffn_dim).T @ dx.reshape(-1, cfg.d_model)
-        grads[p + "b2"] += dx.sum(axis=(0, 1))
+        grads[p + "w2"] += blk["used"].T @ dx
+        grads[p + "b2"] += dx.sum(axis=0)
         d_act = d_used if blk["ffn_drop"] is None else d_used * blk["ffn_drop"]
         d_pre = d_act * _gelu_grad_from(blk["pre"], blk["gelu_t"])
-        grads[p + "w1"] += blk["n2"].reshape(-1, cfg.d_model).T @ d_pre.reshape(-1, cfg.ffn_dim)
-        grads[p + "b1"] += d_pre.sum(axis=(0, 1))
+        grads[p + "w1"] += blk["n2"].T @ d_pre
+        grads[p + "b1"] += d_pre.sum(axis=0)
         d_n2 = d_pre @ lay.w1.T
         d_xb, dg2, db2 = _layer_norm_backward(d_n2, blk["ln2"])
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
         dx = dx + d_xb
 
-        # attention sub-block
-        agr = attn_mod.backward_batched(dx, blk["attn"])
+        # attention sub-block, on the grid
+        agr = attn_mod.backward_batched(layout.scatter(dx), blk["attn"])
         grads[p + "attn.wq_c"] += agr.dwq_c
         grads[p + "attn.wk_c"] += agr.dwk_c
         grads[p + "attn.wv"] += agr.dwv
@@ -547,13 +610,13 @@ def loss_and_grads(
         grads[p + "attn.wk_r"] += agr.dwk_r
         grads[p + "attn.wo"] += agr.dwo
         grads["rel_embed"] += agr.drel_embed
-        d_n1, dg1, db1 = _layer_norm_backward(agr.dh, blk["ln1"])
+        d_n1, dg1, db1 = _layer_norm_backward(layout.gather(agr.dh), blk["ln1"])
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
         dx = dx + d_n1
 
         if li == cache["inject_at"]:
-            grads["abs_pos_embed"][:length] += dx.sum(axis=0)
+            grads["abs_pos_embed"][: layout.length] += layout.scatter(dx).sum(axis=0)
 
     np.add.at(grads["token_embed"], cache["ids"], dx)
     return loss, grads, score
@@ -826,7 +889,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
                 raise ShapeMismatch(f"{path}: truncated config block")
             try:
                 cfg = _config_from_dict(json.loads(blob.decode("utf-8")))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, ConfigError) as exc:
                 raise ShapeMismatch(f"{path}: unreadable config block: {exc}") from exc
 
             shapes = _param_shapes(cfg)

@@ -152,6 +152,9 @@ def load_vocab(path: str | Path) -> Vocabulary:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IoError(f"cannot read vocabulary {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ValidationError(f"{path}: not valid UTF-8 (byte 0x{bad:02x}: {exc.reason})") from exc
     if tuple(lines[:4]) != SPECIAL_TOKENS:
         raise ValidationError(
             f"{path}: first four entries must be {SPECIAL_TOKENS}, got {tuple(lines[:4])}"

@@ -362,6 +362,35 @@ def test_score_vocab_longer_than_checkpoint_exits_2(crossval_run, tmp_path, caps
     assert str(cfg.vocab_size) in captured.err
 
 
+@pytest.mark.parametrize("command", ["eda", "baseline", "crossval"])
+def test_csv_that_is_not_utf8_exits_2(command, tmp_path, capsys):
+    data = crossval_csv(tmp_path)
+    data.write_bytes(data.read_bytes().replace(b"anchor seven", b"anchor s\xffven"))
+    extra = ["--preset", "xsmall", "--k", "2"] if command == "crossval" else []
+    code = run_cli(command, "--data", data, "--out", tmp_path / "out", *extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(data) in captured.err and "UTF-8" in captured.err
+
+
+def test_score_vocab_that_is_not_utf8_exits_2(crossval_run, tmp_path, capsys):
+    _, _, out = crossval_run
+    ckpt = tmp_path / "latin.ckpt"
+    ckpt.write_bytes((out / "fold_0.ckpt").read_bytes())
+    vocab = Path(f"{ckpt}.vocab.txt")
+    vocab.write_bytes((out / "fold_0.ckpt.vocab.txt").read_bytes() + b"caf\xe9\n")
+    code = run_cli(
+        "score", "--checkpoint", ckpt,
+        "--anchor", "anchor one", "--target", "target one", "--context", "ctx0",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(vocab) in captured.err and "UTF-8" in captured.err
+
+
 # ---------------------------------------------------------------- exit mapping
 
 

@@ -124,6 +124,18 @@ def test_lenient_skips_and_counts(tmp_path):
     assert d.skipped_rows == 3
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_invalid_utf8_is_malformed_csv_in_both_modes(tmp_path, strict, where):
+    p = write_csv(tmp_path / "u.csv", [("x1", "gear", "pump", "c07", 0.5)])
+    raw = p.read_bytes()
+    at = raw.index(b"anchor" if where == "header" else b"gear")
+    p.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+    with pytest.raises(MalformedCsv, match=r"u\.csv: not valid UTF-8 \(byte 0xff") as excinfo:
+        load_dataset(p, strict=strict)
+    assert "\n" not in str(excinfo.value)
+
+
 def test_fields_are_trimmed(tmp_path):
     p = write_csv(tmp_path / "t.csv", [("x1", "  gear box ", " pump ", " c07 ", 0.5)])
     rec = load_dataset(p).records[0]

@@ -1,9 +1,11 @@
+import contextlib
 import itertools
 import json
 import math
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +28,8 @@ from phraselab.errors import (
 from phraselab.text import TokenSequence, build_vocab
 
 from conftest import make_dataset, overlap_dataset
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def micro_config(**overrides):
@@ -347,25 +351,23 @@ def test_micro_model_gradients_match_finite_differences():
 @given(st.integers(0, 2**31 - 1))
 def test_trimmed_training_step_matches_the_full_length_step(seed):
     """With dropout on, a training step cut after the batch's last real
-    column gives the loss and gradients of the full-length step, and
-    leaves the dropout generator in the same state."""
+    column and packed to its real positions gives the loss and gradients
+    of the full-grid step, and leaves the dropout generator in the same
+    state."""
     cfg = micro_config(layers=2, max_len=8, ffn_dim=6, dropout_rate=0.3)
     params = inflated_micro_params(cfg)
     rng = np.random.default_rng(seed)
     n_batch = int(rng.integers(1, 5))
     ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
-    mask = (rng.random((n_batch, cfg.max_len)) < rng.random()).astype(np.float64)
-    cut = int(rng.integers(1, cfg.max_len))
-    mask[:, cut:] = 0.0
-    mask[np.arange(n_batch), rng.integers(0, cut, n_batch)] = 1.0
+    mask = random_mask(rng, n_batch, cfg.max_len)
     gold = rng.random(n_batch)
-    assert M._real_width(mask) <= cut < cfg.max_len
 
     trimmed_rng = np.random.default_rng(seed)
     loss, grads, _ = M.loss_and_grads(ids, mask, gold, params, cfg, rng=trimmed_rng)
     full_rng = np.random.default_rng(seed)
-    with mock.patch.object(M, "_real_width", lambda m: m.shape[1]):
+    with full_grid_forward() as widths:
         full_loss, full_grads, _ = M.loss_and_grads(ids, mask, gold, params, cfg, rng=full_rng)
+    assert widths == [cfg.max_len] * cfg.layers
 
     assert abs(loss - full_loss) <= 1e-12
     for name, want in full_grads.items():
@@ -396,26 +398,60 @@ def inflated_micro_params(cfg, factor=15.0):
     return params
 
 
+def random_mask(rng, n_batch, max_len):
+    """Masks with interior holes, often ending in all-padding columns,
+    with column 0 masked in about half the rows; every row keeps at
+    least one real token."""
+    mask = (rng.random((n_batch, max_len)) < rng.random()).astype(np.float64)
+    cut = int(rng.integers(2, max_len + 1))  # columns from here on are padding
+    mask[:, cut:] = 0.0
+    mask[np.arange(n_batch), rng.integers(1, cut, n_batch)] = 1.0
+    mask[:, 0] = rng.random(n_batch) < 0.5
+    return mask
+
+
+@contextlib.contextmanager
+def full_grid_forward():
+    """Run forward_batch on the whole (B, max_len) grid: no trailing
+    column is cut and no position is packed away. Yields the sequence
+    length of every attention call, so a test can check it."""
+    widths = []
+    attend = M.attn_mod.forward_batched
+
+    def spy(h, *args, **kwargs):
+        widths.append(h.shape[1])
+        return attend(h, *args, **kwargs)
+
+    with mock.patch.object(M, "_real_width", lambda m: m.shape[1]), \
+            mock.patch.object(M, "_packed_positions", lambda m: None), \
+            mock.patch.object(M.attn_mod, "forward_batched", spy):
+        yield widths
+
+
+def test_packed_positions_keep_real_tokens_and_every_column_zero():
+    mask = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+    assert M._packed_positions(mask).tolist() == [0, 1, 2, 4, 6, 7]
+    assert M._packed_positions(np.array([[0.0, 1.0], [1.0, 1.0]])) is None
+    assert mask[0, 0] == 0.0  # the caller's mask is left alone
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
-def test_trimmed_eval_forward_matches_cached_full_length_forward(seed):
-    """Random masks, holes included: the cache-free forward, which drops
-    the trailing all-padding columns, scores as the full-length forward
-    that loss_and_grads differentiates."""
+def test_trimmed_eval_forward_matches_the_full_grid_forward(seed):
+    """Random masks, holes and masked column-0 slots included: the eval
+    forward, which drops the trailing all-padding columns and packs the
+    real positions, scores as the forward over the whole grid."""
     cfg = micro_config(layers=2, max_len=8, ffn_dim=6)
     params = inflated_micro_params(cfg)
     rng = np.random.default_rng(seed)
     n_batch = int(rng.integers(1, 5))
     ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
-    mask = (rng.random((n_batch, cfg.max_len)) < rng.random()).astype(np.float64)
-    mask[np.arange(n_batch), rng.integers(0, cfg.max_len, n_batch)] = 1.0
-    if rng.random() < 0.5:
-        mask[:, int(rng.integers(1, cfg.max_len)):] = 0.0
-        mask[:, 0] = 1.0
-    gold = rng.random(n_batch)
+    mask = random_mask(rng, n_batch, cfg.max_len)
 
     got, cache = M.forward_batch(ids, mask, params, cfg)
-    _, _, want = M.loss_and_grads(ids, mask, gold, params, cfg, train=False)
+    with full_grid_forward() as widths:
+        want, _ = M.forward_batch(ids, mask, params, cfg)
+    assert widths == [cfg.max_len] * cfg.layers
     assert cache is None
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -426,8 +462,31 @@ def test_trimmed_eval_forward_is_bit_exact_on_the_golden_input():
     ids = np.arange(2, 18)[None]
     mask = np.array([[1.0] * 10 + [0.0] * 6])
     trimmed, _ = M.forward_batch(ids, mask, params, cfg)
-    full, _ = M.forward_batch(ids, mask, params, cfg, keep_cache=True)
+    with full_grid_forward() as widths:
+        full, _ = M.forward_batch(ids, mask, params, cfg)
+    assert widths == [cfg.max_len] * cfg.layers
     assert trimmed[0] == full[0] == GOLDEN_SEED7_SMALL_SCORE
+
+
+def test_multi_row_scores_are_pinned_to_the_golden_copy():
+    """A seed-7 small-preset batch of six rows with real lengths 4 to 16,
+    captured before the packed layout: every score is pinned to the last
+    bit, through one batched forward and through per-row forwards."""
+    golden = json.loads((GOLDEN_DIR / "forward_small_seed7_rows.json").read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    params = M.init_params(cfg)
+    ids = np.array(golden["ids"])
+    mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
+    assert sorted(set(golden["lengths"])) == sorted(golden["lengths"])  # all different
+
+    batch, _ = M.forward_batch(ids, mask, params, cfg)
+    assert [float(s).hex() for s in batch] == golden["batch_scores"]
+    rows = [
+        M.forward(TokenSequence(ids=tuple(ids[r].tolist()), attention_mask=tuple(mask[r].astype(int).tolist())),
+                  params, cfg)
+        for r in range(len(ids))
+    ]
+    assert [s.hex() for s in rows] == golden["row_scores"]
 
 
 def test_row_score_does_not_depend_on_its_batch_mates():
@@ -766,6 +825,24 @@ def test_checkpoint_with_non_finite_weight_is_rejected(tmp_path, bad, where):
     path.write_bytes(bytes(raw))
     name = "token_embed" if where == "first" else "out_b"
     with pytest.raises(NonFiniteWeights, match=name):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["layers", "ffn_dim", "max_len", "attention.d_model"])
+def test_checkpoint_config_with_a_non_integer_count_is_rejected(tmp_path, field):
+    cfg = micro_config()
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(M.init_params(cfg), cfg, path)
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, len(M.MAGIC))
+    start = len(M.MAGIC) + 4
+    blob = json.loads(raw[start : start + blob_len])
+    *outer, leaf = field.split(".")
+    holder = blob[outer[0]] if outer else blob
+    holder[leaf] = float(holder[leaf])  # 2 -> 2.0, still valid JSON
+    new = json.dumps(blob, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[: len(M.MAGIC)] + struct.pack("<I", len(new)) + new + raw[start + blob_len :])
+    with pytest.raises(ShapeMismatch, match=rf"unreadable config block: {leaf} must be"):
         M.load_checkpoint(path)
 
 

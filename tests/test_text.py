@@ -189,3 +189,10 @@ def test_vocab_load_rejects_bad_specials(tmp_path):
     p.write_text("[PAD]\n[UNK]\nwrong\n[SEP]\ngear\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_vocab(p)
+
+
+def test_vocab_load_rejects_invalid_utf8(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(b"[PAD]\n[UNK]\n[CLS]\n[SEP]\ng\xffar\n")
+    with pytest.raises(ValidationError, match=r"vocab\.txt: not valid UTF-8 \(byte 0xff"):
+        load_vocab(p)
