@@ -33,8 +33,6 @@ import numpy as np
 
 from .errors import AllMasked, ConfigError, ShapeMismatch
 
-SCALE_MODES = ("per_term", "global")
-
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -49,7 +47,6 @@ class AttentionConfig:
     n_heads: int
     max_rel_distance: int
     include_p2p: bool = True
-    scale_mode: str = "per_term"
 
     def __post_init__(self) -> None:
         for name in ("d_model", "n_heads", "max_rel_distance"):
@@ -61,8 +58,8 @@ class AttentionConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_rel_distance < 1:
             raise ConfigError(f"max_rel_distance must be >= 1, got {self.max_rel_distance}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ConfigError(f"scale_mode {self.scale_mode!r} not in {SCALE_MODES}")
+        if not isinstance(self.include_p2p, bool):
+            raise ConfigError(f"include_p2p must be true or false, got {self.include_p2p!r}")
 
     @property
     def d_head(self) -> int:
@@ -88,14 +85,6 @@ class AttentionParams:
     wk_r: np.ndarray
     rel_embed: np.ndarray
     wo: np.ndarray
-
-
-@dataclass
-class ScoreMatrix:
-    """Per-head raw scaled scores and the masked softmax over keys."""
-
-    scores: np.ndarray  # (n_heads, L, L), before masking
-    probs: np.ndarray  # (n_heads, L, L), rows sum to 1 over unmasked keys
 
 
 @dataclass
@@ -231,8 +220,6 @@ def active_term_count(params: AttentionParams, cfg: AttentionConfig) -> int:
 
 
 def scale_denominator(params: AttentionParams, cfg: AttentionConfig) -> float:
-    if cfg.scale_mode == "global":
-        return math.sqrt(cfg.d_head)
     return math.sqrt(active_term_count(params, cfg) * cfg.d_head)
 
 
@@ -380,12 +367,12 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
     dkr = _into_buckets(dq_buckets, qc)
     dqr = _into_buckets(dk_buckets, kc)
     if cfg.include_p2p:
-        d_sum = d_raw.sum(axis=0)  # (H, L, L)
-        dpp = np.empty((n_heads, n_buckets, n_buckets))
-        for head in range(n_heads):
-            dpp[head] = np.bincount(
-                pair_flat, weights=d_sum[head].ravel(), minlength=n_buckets * n_buckets
-            ).reshape(n_buckets, n_buckets)
+        # joint buckets offset per head, so one bincount sums every head
+        n_pairs = n_buckets * n_buckets
+        head_pair = np.arange(n_heads)[:, None] * n_pairs + pair_flat
+        dpp = np.bincount(
+            head_pair.ravel(), weights=d_raw.sum(axis=0).ravel(), minlength=n_heads * n_pairs
+        ).reshape(n_heads, n_buckets, n_buckets)
         dqr += dpp @ kr
         dkr += dpp.swapaxes(-1, -2) @ qr
 
@@ -408,43 +395,3 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
         drel_embed=dqr_full @ params.wq_r.T + dkr_full @ params.wk_r.T,
         dwo=dwo,
     )
-
-
-def disentangled_scores(
-    h: np.ndarray, params: AttentionParams, cfg: AttentionConfig, mask: np.ndarray
-) -> ScoreMatrix:
-    """Raw scaled scores and masked softmax for one (L, d) sequence."""
-    _, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
-    )
-    return ScoreMatrix(scores=raw[0], probs=cache.probs[0])
-
-
-def attention_forward(
-    h: np.ndarray, params: AttentionParams, cfg: AttentionConfig, mask: np.ndarray
-) -> tuple[np.ndarray, ScoreMatrix]:
-    """Full attention for one (L, d) sequence: project, score, mix."""
-    out, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
-    )
-    return out[0], ScoreMatrix(scores=raw[0], probs=cache.probs[0])
-
-
-def attention_forward_with_cache(
-    h: np.ndarray, params: AttentionParams, cfg: AttentionConfig, mask: np.ndarray
-) -> tuple[np.ndarray, ScoreMatrix, AttentionCache]:
-    """Like attention_forward but also returns the backward cache."""
-    out, raw, cache = forward_batched(
-        np.asarray(h, dtype=np.float64)[None], params, cfg, np.asarray(mask)[None], keep_cache=True
-    )
-    return out[0], ScoreMatrix(scores=raw[0], probs=cache.probs[0]), cache
-
-
-def attention_backward(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads:
-    """Gradients for one (L, d) upstream gradient and its cache."""
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.ndim == 2:
-        grads = backward_batched(d_out[None], cache)
-        grads.dh = grads.dh[0]
-        return grads
-    return backward_batched(d_out, cache)

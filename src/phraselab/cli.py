@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import corpus, evaluation, lexical, model, reporting
 from .errors import IoError, NumericError, PhraseLabError, ShapeMismatch, ValidationError
-from .text import encode, load_vocab, save_vocab
+from .text import LAYOUTS, encode, load_vocab, save_vocab
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -102,7 +102,6 @@ def _fold_artifacts(out_dir: Path, fold: int, fold_cfg, outcome) -> set[Path]:
     ckpt = out_dir / f"fold_{fold}.ckpt"
     model.save_checkpoint(outcome.extras["params"], fold_cfg, ckpt)
     written.add(ckpt)
-    written.add(Path(f"{ckpt}.json"))
     written.add(save_vocab(outcome.extras["vocab"], Path(f"{ckpt}.vocab.txt")))
 
     trace = outcome.trace
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument(
         "--layout",
-        choices=sorted(("anchor_target_context", "anchor_context")),
+        choices=sorted(LAYOUTS),
         default="anchor_target_context",
     )
     p.set_defaults(func=cmd_crossval)

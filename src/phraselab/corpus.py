@@ -52,7 +52,6 @@ class Dataset:
 
     records: tuple[PhraseRecord, ...]
     source_path: str
-    skipped_rows: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -63,7 +62,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New dataset holding the given rows, preserving their order."""
         picked = tuple(self.records[i] for i in indices)
-        return Dataset(picked, f"{self.source_path}#subset", 0)
+        return Dataset(picked, f"{self.source_path}#subset")
 
 
 # histogram rows are (bin_lo, bin_hi, count); hi is exclusive except the
@@ -102,15 +101,12 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedCsv:
     return MalformedCsv(f"{path}: not valid UTF-8 (byte 0x{bad:02x}: {exc.reason})")
 
 
-def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Parse a phrase-pair CSV into a validated dataset.
 
     The header must contain the columns id, anchor, target, context and
-    score, in any order; extra columns are ignored. In strict mode the
-    first bad row raises; in lenient mode bad rows are skipped and
-    counted in ``Dataset.skipped_rows``. A missing column and a file that
-    is not UTF-8 are errors in both modes, because no row can be parsed
-    then.
+    score, in any order; extra columns are ignored. The first bad row,
+    a missing column or a file that is not UTF-8 raises.
     """
     path = Path(path)
     try:
@@ -137,7 +133,6 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
 
         records: list[PhraseRecord] = []
         seen_ids: set[str] = set()
-        skipped = 0
         line_no = 1
         while True:
             line_no += 1
@@ -146,27 +141,18 @@ def load_dataset(path: str | Path, strict: bool = True) -> Dataset:
             except StopIteration:
                 break
             except csv.Error as exc:
-                if strict:
-                    raise MalformedCsv(f"{path}: row {line_no}: {exc}") from exc
-                skipped += 1
-                continue
+                raise MalformedCsv(f"{path}: row {line_no}: {exc}") from exc
             except UnicodeDecodeError as exc:
                 # decoding runs ahead in blocks, so the bad byte is not
-                # pinned to a row: the whole file is refused, leniently too
+                # pinned to a row: the whole file is refused
                 raise _not_utf8(path, exc) from exc
             if not row:
                 continue
-            try:
-                record = _parse_row(row, columns, needed, line_no, seen_ids, path)
-            except ValidationError:
-                if strict:
-                    raise
-                skipped += 1
-                continue
+            record = _parse_row(row, columns, needed, line_no, seen_ids, path)
             seen_ids.add(record.id)
             records.append(record)
 
-    return Dataset(tuple(records), str(path), skipped)
+    return Dataset(tuple(records), str(path))
 
 
 def _parse_row(row, columns, needed, line_no, seen_ids, path) -> PhraseRecord:

@@ -45,12 +45,7 @@ from .errors import (
     LengthMismatch,
 )
 from .evaluation import FoldOutcome, pearson
-from .text import TokenSequence, Vocabulary, build_vocab, encode
-
-# how many blocks from the top the absolute-position injection happens:
-# 1 means the embeddings are added to the hidden states entering the
-# final block (late injection, ahead of the head)
-POSITION_INJECTION_BLOCKS_FROM_TOP = 1
+from .text import LAYOUTS, TokenSequence, Vocabulary, build_vocab, encode
 
 LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -90,6 +85,10 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 5:
             raise ConfigError(f"vocab_size must cover the 4 special ids, got {self.vocab_size}")
+        if self.input_layout not in LAYOUTS:
+            raise ConfigError(
+                f"unknown input_layout {self.input_layout!r}, expected one of {sorted(LAYOUTS)}"
+            )
 
     @property
     def d_model(self) -> int:
@@ -200,6 +199,14 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _param_count(cfg: ModelConfig) -> int:
+    """Total size of the ``_param_shapes`` arrays, without building them."""
+    d, ffn = cfg.d_model, cfg.ffn_dim
+    per_layer = 6 * d * d + 2 * d * ffn + ffn + 5 * d
+    embeddings = (cfg.vocab_size + cfg.max_len + cfg.attention.n_buckets) * d
+    return embeddings + cfg.layers * per_layer + d * d + 2 * d + 1
+
+
 def _assemble(flat: dict[str, np.ndarray], cfg: ModelConfig) -> ModelParams:
     layers = []
     for i in range(cfg.layers):
@@ -268,7 +275,7 @@ def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
     return _assemble(flat, cfg)
 
 
-def _gelu_parts(x: np.ndarray, keep_tanh: bool = True) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _gelu_parts(x: np.ndarray, keep_tanh: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(gelu(x), tanh part); the tanh is cached for the backward pass.
 
     Without ``keep_tanh`` the tanh buffer becomes the output and None
@@ -286,11 +293,6 @@ def _gelu_parts(x: np.ndarray, keep_tanh: bool = True) -> tuple[np.ndarray, Opti
     return out, (t if keep_tanh else None)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth GELU (tanh form), differentiable everywhere."""
-    return _gelu_parts(np.asarray(x, dtype=np.float64))[0]
-
-
 def _gelu_grad_from(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     du = x * x
     du *= 3.0 * GELU_CUBIC
@@ -302,11 +304,6 @@ def _gelu_grad_from(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     out += 1.0 + t
     out *= 0.5
     return out
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return _gelu_grad_from(x, _gelu_parts(x)[1])
 
 
 def _layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -459,16 +456,16 @@ def forward_batch(
     mask: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
     keep_cache: bool = False,
 ):
     """Forward pass over a batch; returns (scores, cache).
 
     ``ids`` and ``mask`` are (B, max_len), and every id must index a
-    row of ``params.token_embed``. In training mode dropout masks are
-    drawn from ``rng`` after the attention probabilities and after the
-    FFN activation, exactly one draw pair per block.
+    row of ``params.token_embed``. Dropout runs when ``rng`` is given
+    and ``cfg.dropout_rate`` is positive: its masks are drawn from
+    ``rng`` after the attention probabilities and after the FFN
+    activation, exactly one draw pair per block.
 
     The cache holds what ``loss_and_grads`` reads on the way back; it
     is built only when ``keep_cache`` is set and is None otherwise.
@@ -497,18 +494,15 @@ def forward_batch(
         if lo < 0 or hi >= rows:
             bad = lo if lo < 0 else hi
             raise ShapeMismatch(f"token id {bad} outside the embedding table's rows [0, {rows})")
-    use_dropout = train and cfg.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ConfigError("training-mode dropout needs a random generator")
-
     width = _real_width(mask)
     ids, mask = ids[:, :width], mask[:, :width]
     layout = _TokenLayout(ids.shape[0], width, _packed_positions(mask))
     ids = layout.gather(ids)
 
     x = params.token_embed[ids]
-    inject_at = cfg.layers - POSITION_INJECTION_BLOCKS_FROM_TOP
-    drop_rng = rng if use_dropout else None
+    # late injection: the absolute positions enter the final block only
+    inject_at = cfg.layers - 1
+    drop_rng = rng if cfg.dropout_rate > 0.0 else None
     blocks = []
     for li, lay in enumerate(params.layers):
         if li == inject_at:
@@ -550,15 +544,16 @@ def loss_and_grads(
     gold: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    train: bool = True,
     rng: Optional[np.random.Generator] = None,
 ):
     """MSE loss over a batch plus gradients for every parameter array.
 
+    ``rng`` switches dropout on, as in ``forward_batch``.
+
     Gradient keys match ``ModelParams.named_arrays`` names; the shared
     relative table accumulates contributions from every layer.
     """
-    score, cache = forward_batch(ids, mask, params, cfg, train=train, rng=rng, keep_cache=True)
+    score, cache = forward_batch(ids, mask, params, cfg, rng=rng, keep_cache=True)
     gold = np.asarray(gold, dtype=np.float64)
     n_batch = score.shape[0]
     diff = score - gold
@@ -745,7 +740,7 @@ def train(
         for start in range(0, n_train, cfg.batch_size):
             pick = order[start : start + cfg.batch_size]
             loss, grads, _ = loss_and_grads(
-                tr_ids[pick], tr_mask[pick], tr_gold[pick], params, cfg, train=True, rng=rng
+                tr_ids[pick], tr_mask[pick], tr_gold[pick], params, cfg, rng=rng
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"step {len(step_losses)}: loss is {loss!r}")
@@ -835,7 +830,12 @@ def config_dict(cfg: ModelConfig) -> dict:
 
 
 def _config_from_dict(data: dict) -> ModelConfig:
-    attn = AttentionConfig(**data["attention"])
+    attn = dict(data["attention"])
+    # older checkpoints name the one scale rule the attention has
+    scale = attn.pop("scale_mode", "per_term")
+    if scale != "per_term":
+        raise ConfigError(f"scale_mode {scale!r} is not supported, only 'per_term'")
+    attn = AttentionConfig(**attn)
     rest = {k: v for k, v in data.items() if k != "attention"}
     return ModelConfig(attention=attn, **rest)
 
@@ -846,8 +846,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
     Arrays are written little-endian in declaration order with no
     per-array framing; shapes are fully determined by the config
     block, whose ``vocab_size`` is the token table's row count (the
-    fold's vocabulary for a trained model). A JSON config echo is
-    written next to the checkpoint.
+    fold's vocabulary for a trained model).
     """
     path = Path(path)
     cfg = replace(cfg, vocab_size=params.token_embed.shape[0])
@@ -860,10 +859,6 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
             handle.write(blob)
             for _name, arr in params.named_arrays():
                 handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        Path(f"{path}.json").write_text(
-            json.dumps(config_dict(cfg), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
     return path
@@ -873,8 +868,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     """Inverse of save_checkpoint; bit-exact round trip.
 
     The payload is read once into one float64 buffer that every array
-    views. A payload holding a NaN or infinity raises NonFiniteWeights,
-    so a damaged checkpoint cannot serve ``nan`` scores.
+    views. Its size is checked against the config block before any
+    per-array work, so a config claiming a huge model costs nothing. A
+    payload holding a NaN or infinity raises NonFiniteWeights, so a
+    damaged checkpoint cannot serve ``nan`` scores.
     """
     path = Path(path)
     try:
@@ -892,22 +889,21 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
             except (ValueError, KeyError, TypeError, ConfigError) as exc:
                 raise ShapeMismatch(f"{path}: unreadable config block: {exc}") from exc
 
-            shapes = _param_shapes(cfg)
-            ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
-            have = (size - handle.tell()) // 8
-            if have < ends[-1]:
-                name = next(n for n, end in zip(shapes, ends) if end > have)
-                raise ShapeMismatch(f"{path}: truncated at array {name!r}")
-            extra = size - handle.tell() - ends[-1] * 8
+            need = _param_count(cfg) * 8
+            extra = size - handle.tell() - need
+            if extra < 0:
+                raise ShapeMismatch(f"{path}: truncated payload, {-extra} of {need} bytes missing")
             if extra:
                 raise ShapeMismatch(f"{path}: {extra} trailing bytes")
-            payload = np.empty(ends[-1], dtype="<f8")
+            payload = np.empty(need // 8, dtype="<f8")
             if handle.readinto(payload) != payload.nbytes:
                 raise ShapeMismatch(f"{path}: truncated while reading")
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
 
     payload = payload.astype(np.float64, copy=False)
+    shapes = _param_shapes(cfg)
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
     if not np.isfinite(payload).all():
         name = next(
             n for n, start, end in zip(shapes, [0, *ends], ends)

@@ -130,11 +130,6 @@ def encode(
     return TokenSequence(ids=tuple(ids), attention_mask=tuple(mask))
 
 
-def decode(ids, vocab: Vocabulary) -> list[str]:
-    """Map ids back to token strings (special tokens included)."""
-    return [vocab.token_for(i) for i in ids]
-
-
 def save_vocab(vocab: Vocabulary, path: str | Path) -> Path:
     """Write one token per line, line number = id."""
     path = Path(path)

@@ -7,7 +7,7 @@ from phraselab.corpus import Dataset, PhraseRecord
 def make_dataset(rows, source="memory"):
     """rows: iterable of (id, anchor, target, context, score)."""
     recs = tuple(PhraseRecord(*row) for row in rows)
-    return Dataset(recs, source, 0)
+    return Dataset(recs, source)
 
 
 def write_csv(path, rows, header="id,anchor,target,context,score"):

@@ -24,12 +24,7 @@ import numpy as np
 import pytest
 
 from phraselab import cli, corpus, model
-from phraselab.attention import (
-    AttentionConfig,
-    attention_forward,
-    disentangled_scores,
-    masked_softmax,
-)
+from phraselab.attention import AttentionConfig, forward_batched, masked_softmax
 from phraselab.errors import ZeroVariance
 from phraselab.evaluation import cv_estimate_from_losses, pearson, stratified_kfold
 from phraselab.lexical import levenshtein_distance
@@ -128,8 +123,8 @@ def test_3_disentangled_score_fidelity():
         cfg = AttentionConfig(d_model=2, n_heads=1, max_rel_distance=1)
         params = random_params(cfg, seed=9, scale=0.8)
         h = np.array([[0.5, -1.5], [2.0, 0.25]])
-        sm = disentangled_scores(h, params, cfg, np.ones(2))
-        assert np.max(np.abs(sm.scores - scalar_scores_oracle(h, params, cfg))) < 1e-12
+        _, raw, _ = forward_batched(h[None], params, cfg, np.ones((1, 2)))
+        assert np.max(np.abs(raw[0] - scalar_scores_oracle(h, params, cfg))) < 1e-12
 
         # random instances, both with and without the fourth term
         rng = np.random.default_rng(40)
@@ -138,15 +133,15 @@ def test_3_disentangled_score_fidelity():
             params = random_params(cfg, seed)
             h = rng.normal(0, 1, (5, cfg.d_model))
             mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-            out, sm = attention_forward(h, params, cfg, mask)
-            assert np.max(np.abs(sm.scores - scalar_scores_oracle(h, params, cfg))) < 1e-12
-            assert np.max(np.abs(out - scalar_forward_oracle(h, params, cfg, mask))) < 1e-12
+            out, raw, _ = forward_batched(h[None], params, cfg, mask[None])
+            assert np.max(np.abs(raw[0] - scalar_scores_oracle(h, params, cfg))) < 1e-12
+            assert np.max(np.abs(out[0] - scalar_forward_oracle(h, params, cfg, mask))) < 1e-12
 
         # zeroed position parameters reduce to standard scaled attention
         cfg = small_config(include_p2p=False)
         params = zero_position_params(random_params(cfg, 6))
         h = rng.normal(0, 1, (6, cfg.d_model))
-        out, _ = attention_forward(h, params, cfg, np.ones(6))
+        out, _, _ = forward_batched(h[None], params, cfg, np.ones((1, 6)))
         dh = cfg.d_head
         expected = np.zeros_like(h)
         for head in range(cfg.n_heads):
@@ -157,7 +152,7 @@ def test_3_disentangled_score_fidelity():
             s = q @ k.T / math.sqrt(dh)
             e = np.exp(s - s.max(axis=1, keepdims=True))
             expected[:, sl] = (e / e.sum(axis=1, keepdims=True)) @ v
-        assert np.max(np.abs(out - expected @ params.wo)) < 1e-12
+        assert np.max(np.abs(out[0] - expected @ params.wo)) < 1e-12
 
 
 def micro_model_fd_instance(seed: int, h: float = 1e-5, tol: float = 1e-4) -> None:
@@ -168,16 +163,16 @@ def micro_model_fd_instance(seed: int, h: float = 1e-5, tol: float = 1e-4) -> No
     mask = np.ones((2, cfg.max_len))
     mask[1, 4:] = 0.0
     gold = rng.random(2)
-    _, grads, _ = model.loss_and_grads(ids, mask, gold, params, cfg, train=False)
+    _, grads, _ = model.loss_and_grads(ids, mask, gold, params, cfg)
 
     for name, arr in params.named_arrays():
         flat = arr.reshape(-1)
         for idx in rng.choice(flat.size, size=min(2, flat.size), replace=False):
             keep = flat[idx]
             flat[idx] = keep + h
-            up, _, _ = model.loss_and_grads(ids, mask, gold, params, cfg, train=False)
+            up, _, _ = model.loss_and_grads(ids, mask, gold, params, cfg)
             flat[idx] = keep - h
-            down, _, _ = model.loss_and_grads(ids, mask, gold, params, cfg, train=False)
+            down, _, _ = model.loss_and_grads(ids, mask, gold, params, cfg)
             flat[idx] = keep
             fd = (up - down) / (2 * h)
             an = grads[name].reshape(-1)[idx]

@@ -9,11 +9,7 @@ from phraselab.attention import (
     AttentionConfig,
     AttentionParams,
     active_term_count,
-    attention_backward,
-    attention_forward,
-    attention_forward_with_cache,
     bucket_matrix,
-    disentangled_scores,
     forward_batched,
     backward_batched,
     masked_softmax,
@@ -145,8 +141,7 @@ def test_scale_denominator_modes():
     cfg = small_config()
     params = random_params(cfg, 5)
     assert scale_denominator(params, cfg) == math.sqrt(4 * cfg.d_head)
-    gcfg = small_config(scale_mode="global")
-    assert scale_denominator(params, gcfg) == math.sqrt(gcfg.d_head)
+    assert scale_denominator(zero_position_params(params), cfg) == math.sqrt(cfg.d_head)
 
 
 def test_config_validation():
@@ -154,8 +149,9 @@ def test_config_validation():
         AttentionConfig(d_model=7, n_heads=2, max_rel_distance=3)
     with pytest.raises(ConfigError):
         AttentionConfig(d_model=8, n_heads=2, max_rel_distance=0)
-    with pytest.raises(ConfigError):
-        AttentionConfig(d_model=8, n_heads=2, max_rel_distance=3, scale_mode="weird")
+    for flag in ("yes", 0, 1, None):
+        with pytest.raises(ConfigError, match="include_p2p must be true or false"):
+            AttentionConfig(d_model=8, n_heads=2, max_rel_distance=3, include_p2p=flag)
 
 
 # -------------------------------------------------------- scalar oracles
@@ -221,10 +217,9 @@ def test_two_token_scores_match_scalar_oracle():
         wo=np.array([[1.0, 1.0], [-1.0, 1.0]]),
     )
     h = np.array([[0.5, -1.5], [2.0, 0.25]])
-    mask = np.ones(2)
-    sm = disentangled_scores(h, params, cfg, mask)
+    _, raw, _ = forward_batched(h[None], params, cfg, np.ones((1, 2)))
     expected = scalar_scores_oracle(h, params, cfg)
-    assert np.max(np.abs(sm.scores - expected)) < 1e-12
+    assert np.max(np.abs(raw[0] - expected)) < 1e-12
 
 
 def test_random_instances_match_scalar_oracle():
@@ -234,9 +229,9 @@ def test_random_instances_match_scalar_oracle():
         params = random_params(cfg, seed)
         h = rng.normal(0, 1, (5, cfg.d_model))
         mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-        out, sm = attention_forward(h, params, cfg, mask)
-        assert np.max(np.abs(sm.scores - scalar_scores_oracle(h, params, cfg))) < 1e-12
-        assert np.max(np.abs(out - scalar_forward_oracle(h, params, cfg, mask))) < 1e-12
+        out, raw, _ = forward_batched(h[None], params, cfg, mask[None])
+        assert np.max(np.abs(raw[0] - scalar_scores_oracle(h, params, cfg))) < 1e-12
+        assert np.max(np.abs(out[0] - scalar_forward_oracle(h, params, cfg, mask))) < 1e-12
 
 
 # --------------------------------------------------- structural reductions
@@ -248,8 +243,7 @@ def test_zero_position_equals_standard_attention():
     cfg = small_config(include_p2p=False)
     params = zero_position_params(random_params(cfg, 6))
     h = rng.normal(0, 1, (6, cfg.d_model))
-    mask = np.ones(6)
-    out, sm = attention_forward(h, params, cfg, mask)
+    out, _, _ = forward_batched(h[None], params, cfg, np.ones((1, 6)))
 
     dh = cfg.d_head
     expected = np.zeros_like(h)
@@ -263,7 +257,7 @@ def test_zero_position_equals_standard_attention():
         a = e / e.sum(axis=1, keepdims=True)
         expected[:, sl] = a @ v
     expected = expected @ params.wo
-    assert np.max(np.abs(out - expected)) < 1e-12
+    assert np.max(np.abs(out[0] - expected)) < 1e-12
 
 
 def test_zero_hidden_states_give_uniform_rows():
@@ -273,8 +267,8 @@ def test_zero_hidden_states_give_uniform_rows():
         wq_r=np.zeros((8, 8)), wk_r=np.zeros((8, 8)),
         rel_embed=np.zeros((cfg.n_buckets, 8)), wo=np.zeros((8, 8)),
     )
-    sm = disentangled_scores(np.zeros((4, 8)), params, cfg, np.ones(4))
-    assert np.max(np.abs(sm.probs - 0.25)) < 1e-12
+    _, _, cache = forward_batched(np.zeros((1, 4, 8)), params, cfg, np.ones((1, 4)), keep_cache=True)
+    assert np.max(np.abs(cache.probs - 0.25)) < 1e-12
 
 
 def test_diagonal_dominant_scores_force_identity_mixing():
@@ -288,18 +282,18 @@ def test_diagonal_dominant_scores_force_identity_mixing():
         wo=np.random.default_rng(9).normal(0, 1, (d, d)),
     )
     h = np.eye(d)  # orthonormal rows: off-diagonal scores collapse
-    out, _ = attention_forward(h, params, cfg, np.ones(d))
-    assert np.max(np.abs(out - h @ params.wv @ params.wo)) < 1e-12
+    out, _, _ = forward_batched(h[None], params, cfg, np.ones((1, d)))
+    assert np.max(np.abs(out[0] - h @ params.wv @ params.wo)) < 1e-12
 
 
 def test_equal_values_under_uniform_mixing_give_equal_rows():
     cfg = small_config()
     params = zero_position_params(random_params(cfg, 10))
     params.wq_c = np.zeros_like(params.wq_c)  # scores all zero -> uniform
-    h = np.tile(np.linspace(-1, 1, cfg.d_model), (2, 1))
-    out, sm = attention_forward(h, params, cfg, np.ones(2))
-    assert np.max(np.abs(sm.probs - 0.5)) < 1e-12
-    assert np.max(np.abs(out[0] - out[1])) < 1e-12
+    h = np.tile(np.linspace(-1, 1, cfg.d_model), (1, 2, 1))
+    out, _, cache = forward_batched(h, params, cfg, np.ones((1, 2)), keep_cache=True)
+    assert np.max(np.abs(cache.probs - 0.5)) < 1e-12
+    assert np.max(np.abs(out[0, 0] - out[0, 1])) < 1e-12
 
 
 # ------------------------------------------------------------- validation
@@ -336,22 +330,6 @@ def test_zero_upstream_gradient_zeroes_everything():
     grads = backward_batched(np.zeros_like(out), cache)
     for field in ("dh", "dwq_c", "dwk_c", "dwv", "dwq_r", "dwk_r", "drel_embed", "dwo"):
         assert np.all(getattr(grads, field) == 0.0)
-
-
-def test_single_sequence_wrappers_agree_with_batched():
-    cfg = small_config()
-    params = random_params(cfg, 50)
-    h = np.random.default_rng(51).normal(0, 1, (5, cfg.d_model))
-    mask = np.ones(5)
-    out1, sm, cache = attention_forward_with_cache(h, params, cfg, mask)
-    out2, _, _ = forward_batched(h[None], params, cfg, mask[None])
-    assert np.array_equal(out1, out2[0])
-    d_out = np.random.default_rng(52).normal(0, 1, h.shape)
-    grads = attention_backward(d_out, cache)
-    assert grads.dh.shape == h.shape
-    ref = backward_batched(d_out[None], cache)
-    assert np.array_equal(grads.dwq_r, ref.dwq_r)
-    assert np.array_equal(grads.dh, ref.dh[0])
 
 
 def test_cache_is_built_only_on_request():
@@ -444,13 +422,8 @@ def finite_difference_check(cfg, seed, with_dropout=False, h_step=1e-5, tol=1e-4
 
 
 def test_gradients_match_finite_differences():
-    for seed, p2p, mode in (
-        (1, True, "per_term"),
-        (2, False, "per_term"),
-        (3, True, "global"),
-    ):
-        cfg = small_config(include_p2p=p2p, scale_mode=mode)
-        finite_difference_check(cfg, seed)
+    for seed, p2p in ((1, True), (2, False), (3, True)):
+        finite_difference_check(small_config(include_p2p=p2p), seed)
 
 
 def test_gradients_match_finite_differences_with_dropout():

@@ -20,6 +20,7 @@ from phraselab.errors import NonFiniteLoss
 from phraselab.text import SPECIAL_TOKENS, encode, load_vocab
 
 from conftest import write_csv
+from test_model import rewrite_config_block
 
 
 def run_cli(*argv) -> int:
@@ -170,7 +171,7 @@ def test_crossval_writes_per_fold_artifacts(crossval_run):
     for fold in range(2):
         ckpt = out / f"fold_{fold}.ckpt"
         assert ckpt.exists()
-        assert (out / f"fold_{fold}.ckpt.json").exists()
+        assert not Path(f"{ckpt}.json").exists()
         vocab_lines = (
             (out / f"fold_{fold}.ckpt.vocab.txt").read_text(encoding="utf-8").splitlines()
         )
@@ -204,8 +205,6 @@ def test_crossval_checkpoints_are_sized_to_the_fold_vocabulary(crossval_run):
         params, cfg = model.load_checkpoint(ckpt)
         assert params.token_embed.shape == (rows, cfg.d_model)
         assert cfg.vocab_size == rows
-        echo = json.loads(Path(f"{ckpt}.json").read_text(encoding="utf-8"))
-        assert echo["vocab_size"] == rows
 
 
 def test_crossval_manifest_covers_every_artifact(crossval_run):
@@ -216,8 +215,8 @@ def test_crossval_manifest_covers_every_artifact(crossval_run):
     assert manifest["inputs"] == {str(data): reporting.sha256_of(data)}
     expected = {
         "cv_report.json",
-        "fold_0.ckpt", "fold_0.ckpt.json", "fold_0.ckpt.vocab.txt",
-        "fold_1.ckpt", "fold_1.ckpt.json", "fold_1.ckpt.vocab.txt",
+        "fold_0.ckpt", "fold_0.ckpt.vocab.txt",
+        "fold_1.ckpt", "fold_1.ckpt.vocab.txt",
         "loss_curve_fold_0.csv", "loss_curve_fold_1.csv",
         "pearson_curve_fold_0.csv", "pearson_curve_fold_1.csv",
     }
@@ -372,6 +371,72 @@ def test_csv_that_is_not_utf8_exits_2(command, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert str(data) in captured.err and "UTF-8" in captured.err
+
+
+def copy_checkpoint(src: Path, dst: Path) -> Path:
+    dst.write_bytes(src.read_bytes())
+    shutil.copyfile(f"{src}.vocab.txt", f"{dst}.vocab.txt")
+    return dst
+
+
+SCORE_PAIR = ("--anchor", "anchor one", "--target", "target one extra", "--context", "ctx0")
+
+
+def test_checkpoint_naming_the_per_term_scale_still_scores(crossval_run, tmp_path, capsys):
+    """Checkpoints written while the config had a ``scale_mode`` field
+    carry ``"scale_mode": "per_term"`` in their config block."""
+    _, _, out = crossval_run
+    assert run_cli("score", "--checkpoint", out / "fold_0.ckpt", *SCORE_PAIR) == 0
+    want = capsys.readouterr().out
+    old = copy_checkpoint(out / "fold_0.ckpt", tmp_path / "old.ckpt")
+    block = rewrite_config_block(old, "attention.scale_mode", "per_term")
+    assert b'"n_heads": 4, "scale_mode": "per_term"}, "batch_size"' in block
+    assert run_cli("score", "--checkpoint", old, *SCORE_PAIR) == 0
+    assert capsys.readouterr().out == want
+    assert model.load_checkpoint(old)[1] == model.load_checkpoint(out / "fold_0.ckpt")[1]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("attention.scale_mode", "global", "scale_mode 'global' is not supported"),
+        ("attention.scale_mode", None, "scale_mode None is not supported"),
+        ("attention.include_p2p", "yes", "include_p2p must be true or false"),
+        ("attention.include_p2p", 0, "include_p2p must be true or false"),
+        ("input_layout", "bogus", "unknown input_layout 'bogus'"),
+    ],
+    ids=["scale-global", "scale-null", "p2p-string", "p2p-int", "layout-unknown"],
+)
+def test_score_refuses_a_bad_config_field_with_exit_2(
+    crossval_run, tmp_path, capsys, field, value, message
+):
+    _, _, out = crossval_run
+    bad = copy_checkpoint(out / "fold_0.ckpt", tmp_path / "bad.ckpt")
+    rewrite_config_block(bad, field, value)
+    code = run_cli("score", "--checkpoint", bad, *SCORE_PAIR)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"unreadable config block: {message}" in captured.err
+
+
+def test_score_refuses_a_huge_layer_count_before_building_shapes(
+    crossval_run, tmp_path, capsys, monkeypatch
+):
+    _, _, out = crossval_run
+    bad = copy_checkpoint(out / "fold_0.ckpt", tmp_path / "huge.ckpt")
+    rewrite_config_block(bad, "layers", 10**9)
+
+    def refuse(cfg):
+        raise AssertionError("per-array shapes built for a payload of the wrong size")
+
+    monkeypatch.setattr(model, "_param_shapes", refuse)
+    code = run_cli("score", "--checkpoint", bad, *SCORE_PAIR)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "truncated payload" in captured.err
 
 
 def test_score_vocab_that_is_not_utf8_exits_2(crossval_run, tmp_path, capsys):

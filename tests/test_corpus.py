@@ -28,7 +28,6 @@ from conftest import make_dataset, write_csv
 def test_load_happy_path(tiny_csv):
     d = load_dataset(tiny_csv)
     assert len(d) == 3
-    assert d.skipped_rows == 0
     assert d.records[0] == PhraseRecord("r1", "abatement", "eliminating process", "A47", 0.5)
     assert d.records[2].score == 1.0
 
@@ -74,7 +73,7 @@ def test_nonexistent_file_is_io_error(tmp_path):
 def test_score_out_of_range_strict(tmp_path):
     p = write_csv(tmp_path / "s.csv", [("x1", "a", "b", "c", 1.5)])
     with pytest.raises(ScoreOutOfRange):
-        load_dataset(p, strict=True)
+        load_dataset(p)
 
 
 def test_score_nan_rejected(tmp_path):
@@ -108,31 +107,14 @@ def test_duplicate_id(tmp_path):
         load_dataset(p)
 
 
-def test_lenient_skips_and_counts(tmp_path):
-    p = write_csv(
-        tmp_path / "l.csv",
-        [
-            ("x1", "a", "b", "c", 0.5),
-            ("x2", "", "b", "c", 0.5),       # empty anchor
-            ("x3", "a", "b", "c", 2.0),      # score out of range
-            ("x1", "a", "b", "c", 0.5),      # duplicate id
-            ("x4", "a", "b", "c", 0.75),
-        ],
-    )
-    d = load_dataset(p, strict=False)
-    assert [r.id for r in d] == ["x1", "x4"]
-    assert d.skipped_rows == 3
-
-
-@pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("where", ["header", "row"])
-def test_invalid_utf8_is_malformed_csv_in_both_modes(tmp_path, strict, where):
+def test_invalid_utf8_is_malformed_csv(tmp_path, where):
     p = write_csv(tmp_path / "u.csv", [("x1", "gear", "pump", "c07", 0.5)])
     raw = p.read_bytes()
     at = raw.index(b"anchor" if where == "header" else b"gear")
     p.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
     with pytest.raises(MalformedCsv, match=r"u\.csv: not valid UTF-8 \(byte 0xff") as excinfo:
-        load_dataset(p, strict=strict)
+        load_dataset(p)
     assert "\n" not in str(excinfo.value)
 
 
@@ -293,11 +275,11 @@ _row = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_row, min_size=1, max_size=20))
 def test_strict_load_yields_valid_records(tmp_path_factory, rows):
-    """Whatever valid CSV we write, a strict load honors the invariants."""
+    """Whatever valid CSV we write, loading it honors the invariants."""
     p = tmp_path_factory.mktemp("gen") / "gen.csv"
     csv_rows = [(f"id{i}", a.strip(), t.strip(), c.strip(), s) for i, (a, t, c, s) in enumerate(rows)]
     write_csv(p, csv_rows)
-    d = load_dataset(p, strict=True)
+    d = load_dataset(p)
     assert len(d) == len(rows)
     seen = set()
     for rec in d:

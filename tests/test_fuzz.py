@@ -1,11 +1,11 @@
 """Byte-mutation fuzzing of the three loaders through the CLI.
 
 A small checkpoint, its vocabulary file and a CSV are damaged by
-flipping, truncating or inserting bytes, then ``score`` and ``eda`` run
-through ``cli.main``. Whatever the damage, the command must end in a
-documented exit code (0 success, 1 I/O, 2 validation, 3 numeric) with
-at most a one-line error, never an escaping exception or a ``nan``
-score.
+flipping, truncating or inserting bytes, then ``score``, ``eda``,
+``baseline`` and ``crossval`` run through ``cli.main``. Whatever the
+damage, the command must end in a documented exit code (0 success,
+1 I/O, 2 validation, 3 numeric) with at most a one-line error, never
+an escaping exception or a ``nan`` score.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ def run_and_check(argv, capsys) -> int:
     return code
 
 
+CROSSVAL = ["crossval", "--preset", "xsmall", "--k", "2", "--epochs", "1"]
+
+
 def score_argv(ckpt: Path) -> list:
     return ["score", "--checkpoint", ckpt, "--anchor", "alpha beta", "--target", "beta gamma",
             "--context", "ctx00"]
@@ -119,9 +122,22 @@ def test_damaged_csv_exits_cleanly(fixtures, capsys, mutations):
     data = tmp / "bad.csv"
     data.write_bytes(mutate(good.read_bytes(), mutations, 0))
     run_and_check(["eda", "--data", data, "--out", tmp / "eda"], capsys)
+    run_and_check(["baseline", "--data", data, "--out", tmp / "baseline"], capsys)
+
+
+# each undamaged-enough case trains a fold per k, so keep it to a few
+@settings(FUZZ, max_examples=20)
+@given(mutations=MUTATIONS)
+def test_damaged_csv_crossval_exits_cleanly(fixtures, capsys, mutations):
+    tmp, _, good, _ = fixtures
+    data = tmp / "bad_cv.csv"
+    data.write_bytes(mutate(good.read_bytes(), mutations, 0))
+    run_and_check(CROSSVAL + ["--data", data, "--out", tmp / "cv"], capsys)
 
 
 def test_undamaged_inputs_score_and_summarize(fixtures, capsys):
     tmp, good, csv, _ = fixtures
     assert run_and_check(score_argv(good), capsys) == 0
     assert run_and_check(["eda", "--data", csv, "--out", tmp / "eda_ok"], capsys) == 0
+    assert run_and_check(["baseline", "--data", csv, "--out", tmp / "baseline_ok"], capsys) == 0
+    assert run_and_check(CROSSVAL + ["--data", csv, "--out", tmp / "cv_ok"], capsys) == 0
