@@ -87,6 +87,30 @@ class AttentionParams:
     wo: np.ndarray
 
 
+@dataclass(frozen=True)
+class RelativeTerms:
+    """The part of one module's scores that only the weights decide.
+
+    ``qr`` and ``kr`` (H, 2k, dh) are the relative table projected by
+    ``wq_r`` and ``wk_r`` and split into heads. ``p2p`` (H, L, L) is
+    the position-to-position term gathered per (query, key) pair up to
+    some length L, and None without that term. ``denom`` is the score
+    scale. Weights that stay fixed (a loaded checkpoint) get them built
+    once by ``relative_terms``; training builds them once per step.
+    The arrays are made read-only.
+    """
+
+    qr: np.ndarray
+    kr: np.ndarray
+    p2p: Optional[np.ndarray]
+    denom: float
+
+    def __post_init__(self) -> None:
+        for arr in (self.qr, self.kr, self.p2p):
+            if arr is not None:
+                arr.flags.writeable = False
+
+
 @dataclass
 class AttentionGrads:
     dh: np.ndarray
@@ -107,13 +131,11 @@ class AttentionCache:
     qc: np.ndarray
     kc: np.ndarray
     v: np.ndarray
-    qr: np.ndarray
-    kr: np.ndarray
+    terms: RelativeTerms
     probs: np.ndarray
     used: np.ndarray
     drop: Optional[np.ndarray]
     merged: np.ndarray
-    denom: float
     params: AttentionParams
     cfg: AttentionConfig
 
@@ -189,12 +211,15 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     under adding a constant to a row.
     """
     keep = np.asarray(key_mask, dtype=bool)
-    if not np.all(np.any(keep, axis=-1)):
+    # the method forms run the same reductions as np.all/np.max/np.sum
+    # without their Python wrappers, which cost as much as the work at
+    # batch 1
+    if not keep.any(axis=-1).all():
         raise AllMasked("attention mask hides every key position")
     weights = np.where(keep[..., None, :], scores, -np.inf)
-    weights -= np.max(weights, axis=-1, keepdims=True)
+    weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= np.sum(weights, axis=-1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
@@ -206,9 +231,9 @@ def active_term_count(params: AttentionParams, cfg: AttentionConfig) -> int:
     projection or a zero embedding table forces the whole term to
     vanish identically.
     """
-    table = bool(np.any(params.rel_embed))
-    query_side = table and bool(np.any(params.wq_r))
-    key_side = table and bool(np.any(params.wk_r))
+    table = bool(params.rel_embed.any())
+    query_side = table and bool(params.wq_r.any())
+    key_side = table and bool(params.wk_r.any())
     count = 1
     if key_side:
         count += 1
@@ -221,6 +246,24 @@ def active_term_count(params: AttentionParams, cfg: AttentionConfig) -> int:
 
 def scale_denominator(params: AttentionParams, cfg: AttentionConfig) -> float:
     return math.sqrt(active_term_count(params, cfg) * cfg.d_head)
+
+
+def relative_terms(params: AttentionParams, cfg: AttentionConfig, length: int) -> RelativeTerms:
+    """The weight-only score terms, with the p2p field gathered at ``length``.
+
+    Buckets depend only on the offset, so the top-left (L, L) corner of
+    the field gathered at ``length`` equals, bit for bit, the field
+    gathered at any L <= ``length``.
+    """
+    n_heads = cfg.n_heads
+    qr = _split_heads(params.rel_embed @ params.wq_r, n_heads)  # (H, 2k, dh)
+    kr = _split_heads(params.rel_embed @ params.wk_r, n_heads)
+    p2p = None
+    if cfg.include_p2p:
+        pair_flat = _bucket_tables(length, cfg.max_rel_distance)[3]
+        pp = qr @ kr.swapaxes(-1, -2)  # (H, 2k, 2k)
+        p2p = pp.reshape(n_heads, -1)[:, pair_flat].reshape(n_heads, length, length)
+    return RelativeTerms(qr=qr, kr=kr, p2p=p2p, denom=scale_denominator(params, cfg))
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -254,12 +297,15 @@ def forward_batched(
     mask: np.ndarray,
     prob_dropout: Optional[np.ndarray] = None,
     keep_cache: bool = False,
+    terms: Optional[RelativeTerms] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[AttentionCache]]:
     """Batched forward pass.
 
     ``h`` is (B, L, d_model), ``mask`` is (B, L) with 1 marking real
     tokens. ``prob_dropout``, when given, is an already-scaled keep
     mask applied to the attention probabilities (training only).
+    ``terms`` are ``params``' relative terms, gathered at L or longer;
+    when None they are built here from ``params``.
     Returns (output, raw scaled scores, cache). The cache holds what
     ``backward_batched`` reads; it is built only when ``keep_cache`` is
     set and is None otherwise, so an inference caller frees the
@@ -270,30 +316,29 @@ def forward_batched(
     _validate_batched(h, params, cfg, mask)
     n_heads = cfg.n_heads
     length = h.shape[1]
-    k = cfg.max_rel_distance
+    if terms is None:
+        terms = relative_terms(params, cfg, length)
+    elif cfg.include_p2p and (terms.p2p is None or terms.p2p.shape[-1] < length):
+        raise ShapeMismatch(f"prepared relative terms do not cover sequence length {length}")
 
     qc = _split_heads(h @ params.wq_c, n_heads)  # (B, H, L, dh)
     kc = _split_heads(h @ params.wk_c, n_heads)
     v = _split_heads(h @ params.wv, n_heads)
-    qr = _split_heads(params.rel_embed @ params.wq_r, n_heads)  # (H, 2k, dh)
-    kr = _split_heads(params.rel_embed @ params.wk_r, n_heads)
 
-    q_take, k_take, _, pair_flat = _bucket_tables(length, k)
+    q_take, k_take, _, _ = _bucket_tables(length, cfg.max_rel_distance)
     lead = qc.shape[:2]
 
     # each bilinear term is computed in bucket space with one batched
     # matmul and then gathered per (query, key) pair
     raw = qc @ kc.swapaxes(-1, -2)
-    q_buckets = qc @ kr.swapaxes(-1, -2)[None]  # (B, H, L, 2k)
+    q_buckets = qc @ terms.kr.swapaxes(-1, -2)[None]  # (B, H, L, 2k)
     raw += q_buckets.reshape(*lead, -1).take(q_take, axis=-1)
-    k_buckets = kc @ qr.swapaxes(-1, -2)[None]  # (B, H, L, 2k), key indexed
+    k_buckets = kc @ terms.qr.swapaxes(-1, -2)[None]  # (B, H, L, 2k), key indexed
     raw += k_buckets.reshape(*lead, -1).take(k_take, axis=-1)
     if cfg.include_p2p:
-        pp = qr @ kr.swapaxes(-1, -2)  # (H, 2k, 2k)
-        raw += pp.reshape(n_heads, -1)[:, pair_flat].reshape(n_heads, length, length)[None]
+        raw += terms.p2p[None, :, :length, :length]
 
-    denom = scale_denominator(params, cfg)
-    raw /= denom
+    raw /= terms.denom
 
     probs = masked_softmax(raw, mask[:, None, :])
     used = probs if prob_dropout is None else probs * prob_dropout
@@ -303,8 +348,8 @@ def forward_batched(
         return out, raw, None
 
     cache = AttentionCache(
-        h=h, qc=qc, kc=kc, v=v, qr=qr, kr=kr, probs=probs, used=used, drop=prob_dropout,
-        merged=merged, denom=denom, params=params, cfg=cfg,
+        h=h, qc=qc, kc=kc, v=v, terms=terms, probs=probs, used=used, drop=prob_dropout,
+        merged=merged, params=params, cfg=cfg,
     )
     return out, raw, cache
 
@@ -340,9 +385,9 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
     # softmax backward; masked keys have prob 0, so their rows drop out
     inner = np.sum(d_probs * cache.probs, axis=-1, keepdims=True)
     d_raw = cache.probs * (d_probs - inner)
-    d_raw /= cache.denom
+    d_raw /= cache.terms.denom
 
-    qc, kc, qr, kr = cache.qc, cache.kc, cache.qr, cache.kr
+    qc, kc, qr, kr = cache.qc, cache.kc, cache.terms.qr, cache.terms.kr
     dqc = d_raw @ kc
     dkc = d_raw.swapaxes(-1, -2) @ qc
 

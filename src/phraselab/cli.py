@@ -8,7 +8,7 @@ manifest recording flags, input/output hashes, and wall-clock time.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation or configuration
 failure, 3 numeric failure (a non-finite training loss or checkpoint
-weight).
+weight, or checkpoint weights too large to score with).
 """
 
 from __future__ import annotations
@@ -19,8 +19,17 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, evaluation, lexical, model, reporting
-from .errors import IoError, NumericError, PhraseLabError, ShapeMismatch, ValidationError
+from .errors import (
+    IoError,
+    NumericError,
+    NumericOverflow,
+    PhraseLabError,
+    ShapeMismatch,
+    ValidationError,
+)
 from .text import LAYOUTS, encode, load_vocab, save_vocab
 
 EXIT_OK = 0
@@ -198,7 +207,15 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"{cfg.vocab_size} token ids"
         )
     seq = encode(args.anchor, args.target, args.context, vocab, cfg.max_len, cfg.input_layout)
-    score = model.forward(seq, params, cfg)
+    # finite but huge weights overflow somewhere in the forward pass;
+    # refuse them rather than print a score computed from infinities
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            score = model.forward(seq, params, cfg)
+    except FloatingPointError as exc:
+        raise NumericOverflow(
+            f"{args.checkpoint}: scoring leaves the float64 range ({exc}); the weights are too large"
+        ) from exc
     print(f"{score:.6f}")
     return EXIT_OK
 

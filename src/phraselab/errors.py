@@ -3,7 +3,7 @@
 Errors are grouped by how the command-line layer maps them to exit
 codes: I/O failures exit 1, validation and configuration problems
 exit 2, numeric failures (a non-finite training loss or checkpoint
-weight) exit 3.
+weight, or weights too large to evaluate) exit 3.
 """
 
 
@@ -93,3 +93,8 @@ class NonFiniteLoss(NumericError):
 
 class NonFiniteWeights(NumericError):
     """A checkpoint holds a NaN or infinite parameter value."""
+
+
+class NumericOverflow(NumericError):
+    """Weights too large to evaluate: a step of the forward pass leaves
+    the float64 range."""

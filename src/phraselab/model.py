@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import attention as attn_mod
-from .attention import AttentionConfig, AttentionParams
+from .attention import AttentionConfig, AttentionParams, RelativeTerms
 from .corpus import Dataset
 from .errors import (
     BadMagic,
@@ -43,6 +43,7 @@ from .errors import (
     UnknownPreset,
     ZeroVariance,
     LengthMismatch,
+    NumericOverflow,
 )
 from .evaluation import FoldOutcome, pearson
 from .text import LAYOUTS, TokenSequence, Vocabulary, build_vocab, encode
@@ -114,7 +115,13 @@ class LayerParams:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays; layers alias one shared ``rel_embed``."""
+    """All trainable arrays; layers alias one shared ``rel_embed``.
+
+    ``relative`` holds each layer's relative terms, built once for
+    weights that no longer move: a loaded checkpoint, whose arrays are
+    read-only, or one ``predict`` or validation pass. When None, every
+    forward builds its own from the arrays.
+    """
 
     token_embed: np.ndarray
     abs_pos_embed: np.ndarray
@@ -124,6 +131,7 @@ class ModelParams:
     head_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
+    relative: Optional[tuple[RelativeTerms, ...]] = None
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         """Every parameter array exactly once, in declaration order.
@@ -307,9 +315,12 @@ def _gelu_grad_from(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
+    # np.mean is add.reduce over the axis divided by its length; calling
+    # that directly skips the Python wrapper, with the same bits
+    width = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / width
     xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / width
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xn = xc * inv
     return xn * g + b, (xn, inv, g)
@@ -378,6 +389,7 @@ class _TokenLayout:
 def _block_forward(
     x: np.ndarray,
     lay: LayerParams,
+    terms: RelativeTerms,
     cfg: ModelConfig,
     layout: _TokenLayout,
     mask: np.ndarray,
@@ -402,7 +414,7 @@ def _block_forward(
         keep = drop_rng.random(shape) >= cfg.dropout_rate
         prob_drop = keep[:, :, :length, :length] * keep_scale
     attn_out, _, attn_cache = attn_mod.forward_batched(
-        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache
+        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms
     )
     xb = x + layout.gather(attn_out)
     n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b)
@@ -451,6 +463,18 @@ def _packed_positions(mask: np.ndarray) -> Optional[np.ndarray]:
     return None if keep.all() else np.flatnonzero(keep)
 
 
+def _layer_terms(params: ModelParams, cfg: ModelConfig, length: int) -> tuple[RelativeTerms, ...]:
+    return tuple(
+        attn_mod.relative_terms(lay.attn, cfg.attention, length) for lay in params.layers
+    )
+
+
+def _prepared(params: ModelParams, cfg: ModelConfig) -> ModelParams:
+    """``params`` carrying every layer's relative terms, for any batch
+    width; the arrays are shared, not copied."""
+    return replace(params, relative=_layer_terms(params, cfg, cfg.max_len))
+
+
 def forward_batch(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -469,6 +493,9 @@ def forward_batch(
 
     The cache holds what ``loss_and_grads`` reads on the way back; it
     is built only when ``keep_cache`` is set and is None otherwise.
+    The relative terms come from ``params.relative`` and are built for
+    this call when that is None.
+
     Every call first drops the trailing columns that are padding in
     every row, then packs the real positions (and column 0 of each
     row) into one (N, d) array: the embedding gather, the position
@@ -499,6 +526,9 @@ def forward_batch(
     layout = _TokenLayout(ids.shape[0], width, _packed_positions(mask))
     ids = layout.gather(ids)
 
+    terms = params.relative
+    if terms is None:
+        terms = _layer_terms(params, cfg, width)
     x = params.token_embed[ids]
     # late injection: the absolute positions enter the final block only
     inject_at = cfg.layers - 1
@@ -507,7 +537,7 @@ def forward_batch(
     for li, lay in enumerate(params.layers):
         if li == inject_at:
             x = x + params.abs_pos_embed[layout.columns]
-        x, block_cache = _block_forward(x, lay, cfg, layout, mask, drop_rng, keep_cache)
+        x, block_cache = _block_forward(x, lay, terms[li], cfg, layout, mask, drop_rng, keep_cache)
         blocks.append(block_cache)
 
     cls = x[layout.cls_rows]
@@ -689,6 +719,8 @@ def _encode_rows(
 def _batched_scores(
     ids: np.ndarray, mask: np.ndarray, params: ModelParams, cfg: ModelConfig
 ) -> np.ndarray:
+    if params.relative is None:
+        params = _prepared(params, cfg)
     out = np.empty(ids.shape[0], dtype=np.float64)
     for start in range(0, ids.shape[0], cfg.batch_size):
         stop = start + cfg.batch_size
@@ -872,6 +904,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     per-array work, so a config claiming a huge model costs nothing. A
     payload holding a NaN or infinity raises NonFiniteWeights, so a
     damaged checkpoint cannot serve ``nan`` scores.
+
+    The buffer is read-only, so an in-place edit raises instead of
+    leaving stale the relative terms built here once per layer. Terms
+    that overflow float64 raise NumericOverflow.
     """
     path = Path(path)
     try:
@@ -902,6 +938,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
 
     payload = payload.astype(np.float64, copy=False)
+    payload.flags.writeable = False
     shapes = _param_shapes(cfg)
     ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
     if not np.isfinite(payload).all():
@@ -914,4 +951,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
         name: payload[start:end].reshape(shape)
         for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends)
     }
-    return _assemble(flat, cfg), cfg
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            params = _prepared(_assemble(flat, cfg), cfg)
+    except FloatingPointError as exc:
+        raise NumericOverflow(f"{path}: relative-position terms leave the float64 range: {exc}") from exc
+    return params, cfg

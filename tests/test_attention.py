@@ -14,6 +14,7 @@ from phraselab.attention import (
     backward_batched,
     masked_softmax,
     relative_bucket,
+    relative_terms,
     scale_denominator,
 )
 from phraselab.errors import AllMasked, ConfigError, ShapeMismatch
@@ -343,6 +344,86 @@ def test_cache_is_built_only_on_request():
     out_c, raw_c, cache_c = forward_batched(h, params, cfg, mask, keep_cache=True)
     assert np.array_equal(out, out_c) and np.array_equal(raw, raw_c)
     assert cache_c.probs.shape == (2, cfg.n_heads, 5, 5)
+
+
+# ------------------------------------------------- prepared relative terms
+
+PREPARED_MAX_LEN = 9  # past 2k = 6, so the clamped buckets are in the field
+PREPARED_CASES = [
+    pytest.param(include_p2p, zero_pos, id=f"p2p={include_p2p}-zero_pos={zero_pos}")
+    for include_p2p in (True, False) for zero_pos in (False, True)
+]
+
+
+def prepared_case(include_p2p, zero_pos, seed):
+    cfg = small_config(include_p2p=include_p2p)
+    params = random_params(cfg, seed)
+    if zero_pos:
+        params = zero_position_params(params)
+    return cfg, params, relative_terms(params, cfg, PREPARED_MAX_LEN)
+
+
+def prepared_batch(rng, length):
+    h = rng.normal(0, 1, (3, length, 8))
+    mask = np.ones((3, length))
+    mask[1, (length + 1) // 2:] = 0.0
+    mask[2, 0] = 0.0 if length > 1 else 1.0
+    return h, mask
+
+
+@pytest.mark.parametrize("include_p2p, zero_pos", PREPARED_CASES)
+def test_prepared_terms_give_the_same_forward_bits_at_every_length(include_p2p, zero_pos):
+    """Terms built once at the longest length serve every shorter one:
+    output and raw scores equal, bit for bit, those of terms built from
+    the parameters in the call itself."""
+    cfg, params, terms = prepared_case(include_p2p, zero_pos, 60)
+    if zero_pos:
+        assert terms.denom == math.sqrt(cfg.d_head)
+    rng = np.random.default_rng(61)
+    for length in range(1, PREPARED_MAX_LEN + 1):
+        h, mask = prepared_batch(rng, length)
+        want_out, want_raw, _ = forward_batched(h, params, cfg, mask)
+        got_out, got_raw, _ = forward_batched(h, params, cfg, mask, terms=terms)
+        assert np.array_equal(got_out, want_out), length
+        assert np.array_equal(got_raw, want_raw), length
+
+
+@pytest.mark.parametrize("include_p2p, zero_pos", PREPARED_CASES)
+def test_prepared_terms_give_the_same_gradient_bits_at_every_length(include_p2p, zero_pos):
+    cfg, params, terms = prepared_case(include_p2p, zero_pos, 62)
+    rng = np.random.default_rng(63)
+    fields = ("dh", "dwq_c", "dwk_c", "dwv", "dwq_r", "dwk_r", "drel_embed", "dwo")
+    for length in range(1, PREPARED_MAX_LEN + 1):
+        h, mask = prepared_batch(rng, length)
+        d_out = rng.normal(0, 1, h.shape)
+        _, _, want_cache = forward_batched(h, params, cfg, mask, keep_cache=True)
+        _, _, got_cache = forward_batched(h, params, cfg, mask, keep_cache=True, terms=terms)
+        assert got_cache.terms is terms
+        want = backward_batched(d_out, want_cache)
+        got = backward_batched(d_out, got_cache)
+        for field in fields:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (length, field)
+
+
+def test_sliced_p2p_field_equals_the_field_gathered_at_that_length():
+    cfg, params, terms = prepared_case(True, False, 64)
+    assert terms.p2p.shape == (cfg.n_heads, PREPARED_MAX_LEN, PREPARED_MAX_LEN)
+    for length in range(1, PREPARED_MAX_LEN + 1):
+        short = relative_terms(params, cfg, length)
+        assert np.array_equal(terms.p2p[:, :length, :length], short.p2p), length
+        assert np.array_equal(terms.qr, short.qr) and np.array_equal(terms.kr, short.kr)
+    assert prepared_case(False, False, 64)[2].p2p is None
+
+
+def test_prepared_terms_are_read_only_and_must_cover_the_length():
+    cfg, params, terms = prepared_case(True, False, 65)
+    for arr in (terms.qr, terms.kr, terms.p2p):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    short = relative_terms(params, cfg, 4)
+    h, mask = prepared_batch(np.random.default_rng(66), 5)
+    with pytest.raises(ShapeMismatch, match="length 5"):
+        forward_batched(h, params, cfg, mask, terms=short)
 
 
 def test_single_unmasked_key_pins_softmax_gradient():

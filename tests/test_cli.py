@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phraselab import cli, model, reporting
@@ -341,6 +343,45 @@ def test_score_non_finite_checkpoint_exits_3(crossval_run, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "out_b" in captured.err
+
+
+def with_huge_array(ckpt: Path, name: str, dest: Path) -> Path:
+    """Copy of a checkpoint and its vocabulary with array ``name`` set
+    to +-1e200 in alternating signs: finite, so the load-time check
+    passes it."""
+    params, _ = model.load_checkpoint(ckpt)
+    arrays = list(params.named_arrays())
+    raw = bytearray(ckpt.read_bytes())
+    at = len(raw) - 8 * sum(arr.size for _, arr in arrays)
+    for array_name, arr in arrays:
+        if array_name == name:
+            break
+        at += 8 * arr.size
+    huge = np.where(np.arange(arr.size) % 2 == 0, 1e200, -1e200).astype("<f8")
+    raw[at : at + huge.nbytes] = huge.tobytes()
+    dest.write_bytes(bytes(raw))
+    shutil.copyfile(f"{ckpt}.vocab.txt", f"{dest}.vocab.txt")
+    return dest
+
+
+@pytest.mark.parametrize("name", ["token_embed", "rel_embed"])
+def test_score_with_huge_finite_weights_exits_3(crossval_run, tmp_path, capsys, name):
+    """A huge token table overflows the first layer norm and a huge
+    relative table overflows the terms built at load: either way one
+    error line and exit 3, with no warning and no score."""
+    _, _, out = crossval_run
+    bad = with_huge_array(out / "fold_0.ckpt", name, tmp_path / "huge.ckpt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            "score", "--checkpoint", bad,
+            "--anchor", "anchor one", "--target", "target one", "--context", "ctx0",
+        )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not caught
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "float64 range" in captured.err
 
 
 def test_score_vocab_longer_than_checkpoint_exits_2(crossval_run, tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phraselab import model as M
-from phraselab.attention import AttentionConfig
+from phraselab.attention import AttentionConfig, masked_softmax
 from phraselab.errors import (
     AllMasked,
     BadMagic,
@@ -23,6 +23,7 @@ from phraselab.errors import (
     EmptySplit,
     NonFiniteLoss,
     NonFiniteWeights,
+    NumericOverflow,
     ShapeMismatch,
     UnknownPreset,
 )
@@ -471,17 +472,14 @@ def test_trimmed_eval_forward_is_bit_exact_on_the_golden_input():
     assert trimmed[0] == full[0] == GOLDEN_SEED7_SMALL_SCORE
 
 
-def test_multi_row_scores_are_pinned_to_the_golden_copy():
-    """A seed-7 small-preset batch of six rows with real lengths 4 to 16,
-    captured before the packed layout: every score is pinned to the last
-    bit, through one batched forward and through per-row forwards."""
-    golden = json.loads((GOLDEN_DIR / "forward_small_seed7_rows.json").read_text(encoding="utf-8"))
-    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
-    params = M.init_params(cfg)
+GOLDEN_ROWS = GOLDEN_DIR / "forward_small_seed7_rows.json"
+
+
+def assert_golden_rows(golden, params, cfg):
+    """Every golden score, to the last bit, through one batched forward
+    and through per-row forwards."""
     ids = np.array(golden["ids"])
     mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
-    assert sorted(set(golden["lengths"])) == sorted(golden["lengths"])  # all different
-
     batch, _ = M.forward_batch(ids, mask, params, cfg)
     assert [float(s).hex() for s in batch] == golden["batch_scores"]
     rows = [
@@ -490,6 +488,68 @@ def test_multi_row_scores_are_pinned_to_the_golden_copy():
         for r in range(len(ids))
     ]
     assert [s.hex() for s in rows] == golden["row_scores"]
+
+
+def test_multi_row_scores_are_pinned_to_the_golden_copy():
+    """A seed-7 small-preset batch of six rows with real lengths 4 to 16,
+    captured before the packed layout: every score is pinned to the last
+    bit, through one batched forward and through per-row forwards."""
+    golden = json.loads(GOLDEN_ROWS.read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    assert sorted(set(golden["lengths"])) == sorted(golden["lengths"])  # all different
+    assert_golden_rows(golden, M.init_params(cfg), cfg)
+
+
+def test_multi_row_scores_through_a_checkpoint_round_trip_match_the_golden_copy(tmp_path):
+    """The same golden rows through a loaded checkpoint, whose forward
+    reads the relative terms built once at load time."""
+    golden = json.loads(GOLDEN_ROWS.read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    path = M.save_checkpoint(M.init_params(cfg), cfg, tmp_path / "seed7.ckpt")
+    params, cfg = M.load_checkpoint(path)
+    assert params.relative is not None and len(params.relative) == cfg.layers
+    assert_golden_rows(golden, params, cfg)
+
+
+def reference_layer_norm(x, g, b):
+    """The layer norm as written with np.mean."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + M.LN_EPS)
+    xn = xc * inv
+    return xn * g + b, xn, inv
+
+
+def reference_masked_softmax(scores, key_mask):
+    """The masked softmax as written with np.max and np.sum."""
+    keep = np.asarray(key_mask, dtype=bool)
+    weights = np.where(keep[..., None, :], scores, -np.inf)
+    weights -= np.max(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=-1, keepdims=True)
+    return weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    log_scale=st.integers(-8, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_reductions_match_their_numpy_reference_forms_bit_for_bit(shape, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 10.0**log_scale, shape) + rng.normal(0.0, 10.0**log_scale)
+    g = rng.normal(1.0, 0.5, shape[-1])
+    b = rng.normal(0.0, 0.5, shape[-1])
+    y, (xn, inv, _) = M._layer_norm_forward(x, g, b)
+    want_y, want_xn, want_inv = reference_layer_norm(x, g, b)
+    assert np.array_equal(y, want_y) and np.array_equal(xn, want_xn) and np.array_equal(inv, want_inv)
+
+    scores = rng.normal(0.0, 10.0**log_scale, (*shape[:-1], shape[-1], shape[-1]))
+    mask = (rng.random(shape[-1]) < 0.6).astype(np.float64)
+    mask[rng.integers(shape[-1])] = 1.0
+    assert np.array_equal(masked_softmax(scores, mask), reference_masked_softmax(scores, mask))
 
 
 def test_row_score_does_not_depend_on_its_batch_mates():
@@ -760,6 +820,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b), name
     for lay in loaded.layers:
         assert lay.attn.rel_embed is loaded.rel_embed
+
+
+def test_loaded_arrays_are_read_only_and_round_trip_byte_for_byte(tmp_path):
+    """Loaded weights carry relative terms built from them, so an
+    in-place edit would serve stale scores: every array refuses it."""
+    cfg = micro_config(layers=2)
+    path = M.save_checkpoint(M.init_params(cfg), cfg, tmp_path / "model.ckpt")
+    loaded, loaded_cfg = M.load_checkpoint(path)
+    for name, arr in loaded.named_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+    for terms in loaded.relative:
+        with pytest.raises(ValueError, match="read-only"):
+            terms.qr[...] = 0.0
+    assert all(lay.attn.rel_embed is loaded.rel_embed for lay in loaded.layers)
+    again = M.save_checkpoint(loaded, loaded_cfg, tmp_path / "again.ckpt")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_huge_relative_table_is_refused(tmp_path):
+    """Finite weights whose relative terms overflow float64 are refused
+    at load, before any score is computed from infinities."""
+    cfg = micro_config()
+    params = M.init_params(cfg)
+    params.rel_embed[...] = 1e200
+    path = M.save_checkpoint(params, cfg, tmp_path / "huge.ckpt")
+    with pytest.raises(NumericOverflow, match="float64 range"):
+        M.load_checkpoint(path)
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
