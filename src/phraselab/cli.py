@@ -19,13 +19,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, evaluation, lexical, model, reporting
 from .errors import (
     IoError,
     NumericError,
-    NumericOverflow,
     PhraseLabError,
     ShapeMismatch,
     ValidationError,
@@ -207,16 +204,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"{cfg.vocab_size} token ids"
         )
     seq = encode(args.anchor, args.target, args.context, vocab, cfg.max_len, cfg.input_layout)
-    # finite but huge weights overflow somewhere in the forward pass;
-    # refuse them rather than print a score computed from infinities
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            score = model.forward(seq, params, cfg)
-    except FloatingPointError as exc:
-        raise NumericOverflow(
-            f"{args.checkpoint}: scoring leaves the float64 range ({exc}); the weights are too large"
-        ) from exc
-    print(f"{score:.6f}")
+    print(f"{model.forward(seq, params, cfg):.6f}")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -52,6 +53,11 @@ LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
+# rows per forward in bulk scoring. Each block's temporaries grow with
+# the rows: at 256 rows they are faulted in afresh on every block, at
+# 24-64 rows they are reused and scored equally fast, while per-call
+# overhead grows again below that
+_SCORE_TILE = 48
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,8 @@ class ModelConfig:
 
     ``vocab_size`` caps the vocabulary; a trained token table has one
     row per vocabulary entry, and its checkpoint records that count.
+    ``batch_size`` is the training minibatch size only: bulk scoring
+    runs in fixed tiles of ``_SCORE_TILE`` rows whatever it is.
     """
 
     layers: int
@@ -558,8 +566,30 @@ def forward_batch(
     return score, cache
 
 
+def _refusing_overflow(fn):
+    """Run ``fn`` with float64 overflow and invalid operations raising
+    NumericOverflow, so finite but huge weights cannot return scores
+    computed from infinities."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericOverflow(
+                f"scoring leaves the float64 range ({exc}); the weights are too large"
+            ) from exc
+
+    return guarded
+
+
+@_refusing_overflow
 def forward(tokens: TokenSequence, params: ModelParams, cfg: ModelConfig) -> float:
-    """Deterministic single-sequence score in (0, 1), dropout off."""
+    """Deterministic single-sequence score in (0, 1), dropout off.
+
+    Raises NumericOverflow when the forward leaves the float64 range.
+    """
     if len(tokens.ids) != cfg.max_len:
         raise ShapeMismatch(f"sequence length {len(tokens.ids)} != max_len {cfg.max_len}")
     ids = np.asarray(tokens.ids, dtype=np.intp)[None]
@@ -719,12 +749,20 @@ def _encode_rows(
 def _batched_scores(
     ids: np.ndarray, mask: np.ndarray, params: ModelParams, cfg: ModelConfig
 ) -> np.ndarray:
+    """Evaluation-mode scores of the encoded rows, in their order.
+
+    The rows are sorted by real length (stably) and scored in
+    consecutive tiles of ``_SCORE_TILE``, so each tile trims to little
+    padding and its temporaries stay the same size however many rows
+    there are. Each score lands back at its row's position.
+    """
     if params.relative is None:
         params = _prepared(params, cfg)
+    order = np.argsort(mask.sum(axis=1), kind="stable")
     out = np.empty(ids.shape[0], dtype=np.float64)
-    for start in range(0, ids.shape[0], cfg.batch_size):
-        stop = start + cfg.batch_size
-        out[start:stop], _ = forward_batch(ids[start:stop], mask[start:stop], params, cfg)
+    for start in range(0, ids.shape[0], _SCORE_TILE):
+        rows = order[start : start + _SCORE_TILE]
+        out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
 
 
@@ -801,6 +839,7 @@ def train(
     return params, trace
 
 
+@_refusing_overflow
 def predict(
     d: Dataset,
     indices: Sequence[int],
@@ -808,7 +847,11 @@ def predict(
     cfg: ModelConfig,
     vocab: Vocabulary,
 ) -> np.ndarray:
-    """Evaluation-mode scores for the given dataset rows."""
+    """Evaluation-mode scores for the given dataset rows, in the order
+    of ``indices``.
+
+    Raises NumericOverflow when the forward leaves the float64 range.
+    """
     ids, mask, _ = _encode_rows(d, list(indices), vocab, cfg)
     return _batched_scores(ids, mask, params, cfg)
 

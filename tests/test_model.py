@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -27,9 +28,9 @@ from phraselab.errors import (
     ShapeMismatch,
     UnknownPreset,
 )
-from phraselab.text import TokenSequence, build_vocab
+from phraselab.text import TokenSequence, build_vocab, encode
 
-from conftest import make_dataset, overlap_dataset
+from conftest import OVERLAP_WORDS, make_dataset, overlap_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -611,6 +612,109 @@ def test_fold_trainer_reports_the_scores_predict_gives():
     outcome = M.model_fold_trainer(d, train_idx, val_idx, cfg)
     again = M.predict(d, val_idx, outcome.extras["params"], cfg, outcome.extras["vocab"])
     assert outcome.predictions == again.tolist()
+
+
+def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
+    """Rows whose phrases draw ``words`` (low, high) words each from the
+    overlap word list; by default their real lengths spread over 7..16
+    tokens at max_len 16, in no order."""
+    rng = np.random.default_rng(seed)
+
+    def phrase():
+        return " ".join(rng.choice(OVERLAP_WORDS, int(rng.integers(words[0], words[1] + 1))))
+
+    return make_dataset(
+        (f"m{i:03d}", phrase(), phrase(), phrase(), float(rng.integers(0, 5)) / 4)
+        for i in range(n_rows)
+    )
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 47, 48, 49, 150])
+def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
+    """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
+    rows, whatever ``batch_size`` is, and each score comes back at its
+    index's position, matching that row's own forward."""
+    cfg = micro_config(max_len=16, vocab_size=64,
+                       attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8))
+    d = mixed_length_dataset(150)
+    vocab = build_vocab(d)
+    params = inflated_micro_params(cfg, factor=5.0)
+    indices = np.random.default_rng(n_rows).permutation(len(d))[:n_rows].tolist()
+    assert n_rows < 2 or indices != sorted(indices)
+
+    tiles = []
+    real_forward_batch = M.forward_batch
+
+    def recording(ids, mask, *args, **kwargs):
+        tiles.append(mask.sum(axis=1))
+        return real_forward_batch(ids, mask, *args, **kwargs)
+
+    with mock.patch.object(M, "forward_batch", recording):
+        scores = M.predict(d, indices, params, replace(cfg, batch_size=1), vocab)
+    assert [len(t) for t in tiles] == [
+        min(M._SCORE_TILE, n_rows - start) for start in range(0, n_rows, M._SCORE_TILE)
+    ]
+    lengths = np.concatenate(tiles) if tiles else np.empty(0)
+    assert np.all(np.diff(lengths) >= 0)  # shortest rows first, across tiles
+
+    assert scores.shape == (n_rows,) and scores.dtype == np.float64
+    for score, i in zip(scores, indices):
+        rec = d.records[i]
+        seq = encode(rec.anchor, rec.target, rec.context, vocab, cfg.max_len)
+        assert abs(score - M.forward(seq, params, cfg)) <= 1e-12
+    wide = M.predict(d, indices, params, replace(cfg, batch_size=512), vocab)
+    assert np.array_equal(scores, wide)
+
+
+def test_predict_working_set_is_one_tile_not_all_rows():
+    """512 full-length small-preset rows asked for as one batch of 512:
+    the traced peak stays below the FFN arrays two blocks of the training
+    cache would hold for one tile (the bound the batch-256 forward test
+    sets per batch), so the peak does not grow with the number of rows."""
+    cfg = replace(M.presets("small"), batch_size=512)
+    d = mixed_length_dataset(512, words=(6, 6))
+    vocab = build_vocab(d)
+    params = M.init_params(cfg, rows=len(vocab))
+    tile_ffn_bytes = 3 * M._SCORE_TILE * cfg.max_len * cfg.ffn_dim * 8
+    M.predict(d, range(4), params, cfg, vocab)  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        scores = M.predict(d, range(len(d)), params, cfg, vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (len(d),)
+    assert peak < 2 * tile_ffn_bytes
+
+
+def huge_token_table_checkpoint(path):
+    """A saved and reloaded checkpoint whose token table holds +-1e200 in
+    alternating signs: finite, so loading accepts it, but the first
+    layer norm's variance overflows."""
+    cfg = micro_config(max_len=16, vocab_size=64,
+                       attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8))
+    params = M.init_params(cfg)
+    size = params.token_embed.size
+    params.token_embed[...] = np.where(np.arange(size) % 2 == 0, 1e200, -1e200).reshape(
+        params.token_embed.shape
+    )
+    return M.load_checkpoint(M.save_checkpoint(params, cfg, path))
+
+
+def test_library_scoring_of_huge_finite_weights_raises_numeric_overflow(tmp_path):
+    params, cfg = huge_token_table_checkpoint(tmp_path / "huge.ckpt")
+    d = mixed_length_dataset(8)
+    vocab = build_vocab(d)
+    rec = d.records[0]
+    seq = encode(rec.anchor, rec.target, rec.context, vocab, cfg.max_len)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericOverflow, match="float64 range") as by_forward:
+            M.forward(seq, params, cfg)
+        with pytest.raises(NumericOverflow, match="float64 range") as by_predict:
+            M.predict(d, range(len(d)), params, cfg, vocab)
+    assert not caught
+    assert "\n" not in str(by_forward.value) and "\n" not in str(by_predict.value)
 
 
 # ---------------------------------------------------------------- training
