@@ -111,11 +111,8 @@ def _fold_artifacts(out_dir: Path, fold: int, fold_cfg, outcome) -> set[Path]:
     written.add(save_vocab(outcome.extras["vocab"], Path(f"{ckpt}.vocab.txt")))
 
     trace = outcome.trace
-    spe = trace.steps_per_epoch
     rows = ["epoch,mean_train_loss,val_loss"]
-    for e, vloss in enumerate(trace.val_losses):
-        chunk = trace.step_losses[e * spe : (e + 1) * spe]
-        mean_train = sum(chunk) / len(chunk)
+    for e, (mean_train, vloss) in enumerate(zip(trace.epoch_train_losses(), trace.val_losses)):
         rows.append(
             f"{e},{reporting.format_real(mean_train)},{reporting.format_real(vloss)}"
         )

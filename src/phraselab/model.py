@@ -24,7 +24,7 @@ import numbers
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -90,6 +90,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 5:
@@ -125,6 +127,10 @@ class LayerParams:
 class ModelParams:
     """All trainable arrays; layers alias one shared ``rel_embed``.
 
+    Every array is a view into the one float64 buffer ``flat``, laid
+    out by ``_params_over``: gradients and Adam's moments share the
+    layout, so whole-model steps run on the buffers.
+
     ``relative`` holds each layer's relative terms, built once for
     weights that no longer move: a loaded checkpoint, whose arrays are
     read-only, or one ``predict`` or validation pass. When None, every
@@ -139,37 +145,17 @@ class ModelParams:
     head_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
+    flat: np.ndarray = field(repr=False)
+    views: dict[str, np.ndarray] = field(repr=False)
     relative: Optional[tuple[RelativeTerms, ...]] = None
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Every parameter array exactly once, in declaration order.
+        """Every parameter array exactly once, in layout order.
 
         The shared relative table appears only under its own name, not
         again inside each layer.
         """
-        yield "token_embed", self.token_embed
-        yield "abs_pos_embed", self.abs_pos_embed
-        yield "rel_embed", self.rel_embed
-        for i, lay in enumerate(self.layers):
-            p = f"layers.{i}."
-            yield p + "attn.wq_c", lay.attn.wq_c
-            yield p + "attn.wk_c", lay.attn.wk_c
-            yield p + "attn.wv", lay.attn.wv
-            yield p + "attn.wq_r", lay.attn.wq_r
-            yield p + "attn.wk_r", lay.attn.wk_r
-            yield p + "attn.wo", lay.attn.wo
-            yield p + "ln1_g", lay.ln1_g
-            yield p + "ln1_b", lay.ln1_b
-            yield p + "w1", lay.w1
-            yield p + "b1", lay.b1
-            yield p + "w2", lay.w2
-            yield p + "b2", lay.b2
-            yield p + "ln2_g", lay.ln2_g
-            yield p + "ln2_b", lay.ln2_b
-        yield "head_w", self.head_w
-        yield "head_b", self.head_b
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
+        return iter(self.views.items())
 
 
 @dataclass
@@ -184,22 +170,34 @@ class TrainTrace:
     # held-out scores of the final parameters, in validation-index order
     val_predictions: np.ndarray
 
-    def final_epoch_train_loss(self) -> float:
-        tail = self.step_losses[-self.steps_per_epoch:]
-        return math.fsum(tail) / len(tail)
+    def epoch_train_losses(self) -> list[float]:
+        """Mean training loss of each epoch, in epoch order."""
+        spe = self.steps_per_epoch
+        return [
+            math.fsum(self.step_losses[start : start + spe]) / spe
+            for start in range(0, len(self.step_losses), spe)
+        ]
 
 
-def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+_ATTN_WEIGHTS = ("wq_c", "wk_c", "wv", "wq_r", "wk_r", "wo")
+_LAYER_ARRAYS = tuple(f.name for f in fields(LayerParams) if f.name != "attn")
+
+
+def _param_shapes(cfg: ModelConfig, rows: Optional[int] = None) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter array, in layout order.
+
+    ``rows`` is the token table's row count, ``cfg.vocab_size`` when None.
+    """
     d = cfg.d_model
     shapes: dict[str, tuple[int, ...]] = {
-        "token_embed": (cfg.vocab_size, d),
+        "token_embed": (cfg.vocab_size if rows is None else rows, d),
         "abs_pos_embed": (cfg.max_len, d),
         "rel_embed": (cfg.attention.n_buckets, d),
     }
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        for w in ("attn.wq_c", "attn.wk_c", "attn.wv", "attn.wq_r", "attn.wk_r", "attn.wo"):
-            shapes[p + w] = (d, d)
+        for w in _ATTN_WEIGHTS:
+            shapes[p + "attn." + w] = (d, d)
         shapes[p + "ln1_g"] = (d,)
         shapes[p + "ln1_b"] = (d,)
         shapes[p + "w1"] = (d, cfg.ffn_dim)
@@ -223,41 +221,36 @@ def _param_count(cfg: ModelConfig) -> int:
     return embeddings + cfg.layers * per_layer + d * d + 2 * d + 1
 
 
-def _assemble(flat: dict[str, np.ndarray], cfg: ModelConfig) -> ModelParams:
-    layers = []
-    for i in range(cfg.layers):
-        p = f"layers.{i}."
-        layers.append(
-            LayerParams(
-                attn=AttentionParams(
-                    wq_c=flat[p + "attn.wq_c"],
-                    wk_c=flat[p + "attn.wk_c"],
-                    wv=flat[p + "attn.wv"],
-                    wq_r=flat[p + "attn.wq_r"],
-                    wk_r=flat[p + "attn.wk_r"],
-                    rel_embed=flat["rel_embed"],
-                    wo=flat[p + "attn.wo"],
-                ),
-                ln1_g=flat[p + "ln1_g"],
-                ln1_b=flat[p + "ln1_b"],
-                w1=flat[p + "w1"],
-                b1=flat[p + "b1"],
-                w2=flat[p + "w2"],
-                b2=flat[p + "b2"],
-                ln2_g=flat[p + "ln2_g"],
-                ln2_b=flat[p + "ln2_b"],
-            )
+def _params_over(
+    cfg: ModelConfig, flat: Optional[np.ndarray] = None, rows: Optional[int] = None
+) -> ModelParams:
+    """The parameter layout: ``ModelParams`` whose arrays view
+    consecutive segments of ``flat``, in ``_param_shapes`` order.
+
+    ``flat`` must hold exactly the arrays' total size; when None a
+    zeroed buffer of that size is made. ``rows`` is as in
+    ``_param_shapes``.
+    """
+    shapes = _param_shapes(cfg, rows)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat is None:
+        flat = np.zeros(sum(sizes))
+    views = {
+        name: flat[end - size : end].reshape(shape)
+        for (name, shape), size, end in zip(shapes.items(), sizes, itertools.accumulate(sizes))
+    }
+    layers = [
+        LayerParams(
+            attn=AttentionParams(
+                rel_embed=views["rel_embed"],
+                **{w: views[f"layers.{i}.attn.{w}"] for w in _ATTN_WEIGHTS},
+            ),
+            **{name: views[f"layers.{i}.{name}"] for name in _LAYER_ARRAYS},
         )
-    return ModelParams(
-        token_embed=flat["token_embed"],
-        abs_pos_embed=flat["abs_pos_embed"],
-        rel_embed=flat["rel_embed"],
-        layers=layers,
-        head_w=flat["head_w"],
-        head_b=flat["head_b"],
-        out_w=flat["out_w"],
-        out_b=flat["out_b"],
-    )
+        for i in range(cfg.layers)
+    ]
+    top = {name: view for name, view in views.items() if not name.startswith("layers.")}
+    return ModelParams(layers=layers, flat=flat, views=views, **top)
 
 
 def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
@@ -276,19 +269,14 @@ def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
     if rows is not None and not 1 <= rows <= cfg.vocab_size:
         raise ConfigError(f"token table rows must be in [1, {cfg.vocab_size}], got {rows}")
     rng = np.random.default_rng(cfg.seed)
-    flat: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(cfg).items():
+    params = _params_over(cfg, rows=rows)
+    for (name, arr), drawn in zip(params.named_arrays(), _param_shapes(cfg).values()):
         leaf = name.rsplit(".", 1)[-1]
         if leaf.endswith("_g"):
-            flat[name] = np.ones(shape)
-        elif leaf.endswith("_b") or leaf in ("b1", "b2"):
-            flat[name] = np.zeros(shape)
-        else:
-            flat[name] = np.clip(rng.normal(0.0, 0.02, shape), -0.04, 0.04)
-    if rows is not None:
-        # a copy, so the rows past the vocabulary are freed
-        flat["token_embed"] = flat["token_embed"][:rows].copy()
-    return _assemble(flat, cfg)
+            arr.fill(1.0)
+        elif not (leaf.endswith("_b") or leaf in ("b1", "b2")):
+            arr[...] = np.clip(rng.normal(0.0, 0.02, drawn), -0.04, 0.04)[: len(arr)]
+    return params
 
 
 def _gelu_parts(x: np.ndarray, keep_tanh: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -610,8 +598,9 @@ def loss_and_grads(
 
     ``rng`` switches dropout on, as in ``forward_batch``.
 
-    Gradient keys match ``ModelParams.named_arrays`` names; the shared
-    relative table accumulates contributions from every layer.
+    The gradients are a ``ModelParams`` of ``params``' layout over one
+    new buffer; the shared relative table accumulates contributions
+    from every layer.
     """
     score, cache = forward_batch(ids, mask, params, cfg, rng=rng, keep_cache=True)
     gold = np.asarray(gold, dtype=np.float64)
@@ -619,18 +608,16 @@ def loss_and_grads(
     diff = score - gold
     loss = float(np.mean(diff * diff))
 
-    grads: dict[str, np.ndarray] = {
-        name: np.zeros_like(arr) for name, arr in params.named_arrays()
-    }
+    grads = _params_over(cfg, rows=params.token_embed.shape[0])
 
     dlogit = (2.0 / n_batch) * diff * score * (1.0 - score)
     pooled = cache["pooled"]
-    grads["out_w"] += pooled.T @ dlogit
-    grads["out_b"] += np.array([dlogit.sum()])
+    grads.out_w += pooled.T @ dlogit
+    grads.out_b += dlogit.sum()
     dpooled = dlogit[:, None] * params.out_w[None, :]
     dpooled_pre = dpooled * (1.0 - pooled * pooled)
-    grads["head_w"] += cache["cls"].T @ dpooled_pre
-    grads["head_b"] += dpooled_pre.sum(axis=0)
+    grads.head_w += cache["cls"].T @ dpooled_pre
+    grads.head_b += dpooled_pre.sum(axis=0)
     dcls = dpooled_pre @ params.head_w.T
 
     layout = cache["layout"]
@@ -639,60 +626,61 @@ def loss_and_grads(
 
     for li in range(cfg.layers - 1, -1, -1):
         lay = params.layers[li]
+        glay = grads.layers[li]
         blk = cache["blocks"][li]
-        p = f"layers.{li}."
 
         # feed-forward sub-block, on the packed rows
         d_used = dx @ lay.w2.T
-        grads[p + "w2"] += blk["used"].T @ dx
-        grads[p + "b2"] += dx.sum(axis=0)
+        glay.w2 += blk["used"].T @ dx
+        glay.b2 += dx.sum(axis=0)
         d_act = d_used if blk["ffn_drop"] is None else d_used * blk["ffn_drop"]
         d_pre = d_act * _gelu_grad_from(blk["pre"], blk["gelu_t"])
-        grads[p + "w1"] += blk["n2"].T @ d_pre
-        grads[p + "b1"] += d_pre.sum(axis=0)
+        glay.w1 += blk["n2"].T @ d_pre
+        glay.b1 += d_pre.sum(axis=0)
         d_n2 = d_pre @ lay.w1.T
         d_xb, dg2, db2 = _layer_norm_backward(d_n2, blk["ln2"])
-        grads[p + "ln2_g"] += dg2
-        grads[p + "ln2_b"] += db2
+        glay.ln2_g += dg2
+        glay.ln2_b += db2
         dx = dx + d_xb
 
         # attention sub-block, on the grid
         agr = attn_mod.backward_batched(layout.scatter(dx), blk["attn"])
-        grads[p + "attn.wq_c"] += agr.dwq_c
-        grads[p + "attn.wk_c"] += agr.dwk_c
-        grads[p + "attn.wv"] += agr.dwv
-        grads[p + "attn.wq_r"] += agr.dwq_r
-        grads[p + "attn.wk_r"] += agr.dwk_r
-        grads[p + "attn.wo"] += agr.dwo
-        grads["rel_embed"] += agr.drel_embed
+        glay.attn.wq_c += agr.dwq_c
+        glay.attn.wk_c += agr.dwk_c
+        glay.attn.wv += agr.dwv
+        glay.attn.wq_r += agr.dwq_r
+        glay.attn.wk_r += agr.dwk_r
+        glay.attn.wo += agr.dwo
+        grads.rel_embed += agr.drel_embed
         d_n1, dg1, db1 = _layer_norm_backward(layout.gather(agr.dh), blk["ln1"])
-        grads[p + "ln1_g"] += dg1
-        grads[p + "ln1_b"] += db1
+        glay.ln1_g += dg1
+        glay.ln1_b += db1
         dx = dx + d_n1
 
         if li == cache["inject_at"]:
-            grads["abs_pos_embed"][: layout.length] += layout.scatter(dx).sum(axis=0)
+            grads.abs_pos_embed[: layout.length] += layout.scatter(dx).sum(axis=0)
 
-    np.add.at(grads["token_embed"], cache["ids"], dx)
+    np.add.at(grads.token_embed, cache["ids"], dx)
     return loss, grads, score
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> float:
+def clip_global_norm(grads: ModelParams, max_norm: float = 1.0) -> float:
     """Scale all gradients in place so their joint L2 norm <= max_norm.
 
     Returns the pre-clip norm. A NaN or infinite norm is returned with
     the gradients untouched, for the caller to refuse.
     """
-    total = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+    # fsum of per-array sums: summing the whole buffer at once
+    # would round differently and move the clipped bits
+    total = math.sqrt(math.fsum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
     if max_norm < total < math.inf:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grads.flat *= max_norm / total
     return total
 
 
 class AdamState:
-    """Adam with bias correction, one slot pair per parameter array."""
+    """Adam with bias correction; the moments share the parameters'
+    flat layout, so a step runs over whole buffers."""
 
     def __init__(self, cfg: ModelConfig, params: ModelParams) -> None:
         self.lr = cfg.learning_rate
@@ -700,35 +688,31 @@ class AdamState:
         self.b2 = cfg.adam_beta2
         self.eps = cfg.adam_eps
         self.t = 0
-        self.m = {name: np.zeros_like(a) for name, a in params.named_arrays()}
-        self.v = {name: np.zeros_like(a) for name, a in params.named_arrays()}
-        self._scratch = {name: np.empty_like(a) for name, a in params.named_arrays()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._scratch = np.empty_like(params.flat)
 
-    def update(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-        """Apply one step in place; the gradient arrays are consumed."""
+    def update(self, params: ModelParams, grads: ModelParams) -> None:
+        """Apply one step in place; the gradient buffer is consumed."""
         self.t += 1
         correct1 = 1.0 - self.b1**self.t
         correct2 = 1.0 - self.b2**self.t
         step = self.lr / correct1
         spread = 1.0 / math.sqrt(correct2)
-        for name, arr in params.named_arrays():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            sq = self._scratch[name]
-            np.multiply(g, g, out=sq)
-            sq *= 1.0 - self.b2
-            v *= self.b2
-            v += sq
-            g *= 1.0 - self.b1
-            m *= self.b1
-            m += g
-            np.sqrt(v, out=sq)
-            sq *= spread
-            sq += self.eps
-            np.divide(m, sq, out=sq)
-            sq *= step
-            arr -= sq
+        g, m, v, sq = grads.flat, self.m, self.v, self._scratch
+        np.multiply(g, g, out=sq)
+        sq *= 1.0 - self.b2
+        v *= self.b2
+        v += sq
+        g *= 1.0 - self.b1
+        m *= self.b1
+        m += g
+        np.sqrt(v, out=sq)
+        sq *= spread
+        sq += self.eps
+        np.divide(m, sq, out=sq)
+        sq *= step
+        params.flat -= sq
 
 
 def _encode_rows(
@@ -865,7 +849,7 @@ def model_fold_trainer(
     params, trace = train(d, (list(train_idx), list(val_idx)), cfg, vocab=vocab)
     return FoldOutcome(
         predictions=trace.val_predictions.tolist(),
-        train_loss=trace.final_epoch_train_loss(),
+        train_loss=trace.epoch_train_losses()[-1],
         trace=trace,
         extras={"params": params, "vocab": vocab, "config": cfg},
     )
@@ -918,9 +902,9 @@ def _config_from_dict(data: dict) -> ModelConfig:
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> Path:
     """Binary checkpoint: magic, config JSON block, raw float64 arrays.
 
-    Arrays are written little-endian in declaration order with no
-    per-array framing; shapes are fully determined by the config
-    block, whose ``vocab_size`` is the token table's row count (the
+    The payload is ``params.flat`` written little-endian: the arrays
+    in layout order with no per-array framing, their shapes fully
+    determined by the config block, whose ``vocab_size`` is the token table's row count (the
     fold's vocabulary for a trained model).
     """
     path = Path(path)
@@ -932,8 +916,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
             handle.write(MAGIC)
             handle.write(struct.pack("<I", len(blob)))
             handle.write(blob)
-            for _name, arr in params.named_arrays():
-                handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            handle.write(params.flat.astype("<f8", copy=False))
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
     return path
@@ -982,21 +965,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
 
     payload = payload.astype(np.float64, copy=False)
     payload.flags.writeable = False
-    shapes = _param_shapes(cfg)
-    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
+    params = _params_over(cfg, payload)
     if not np.isfinite(payload).all():
-        name = next(
-            n for n, start, end in zip(shapes, [0, *ends], ends)
-            if not np.isfinite(payload[start:end]).all()
-        )
+        name = next(n for n, arr in params.named_arrays() if not np.isfinite(arr).all())
         raise NonFiniteWeights(f"{path}: array {name!r} holds a NaN or infinite value")
-    flat = {
-        name: payload[start:end].reshape(shape)
-        for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends)
-    }
     try:
         with np.errstate(over="raise", invalid="raise"):
-            params = _prepared(_assemble(flat, cfg), cfg)
+            params = _prepared(params, cfg)
     except FloatingPointError as exc:
         raise NumericOverflow(f"{path}: relative-position terms leave the float64 range: {exc}") from exc
     return params, cfg

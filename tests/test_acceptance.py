@@ -175,7 +175,7 @@ def micro_model_fd_instance(seed: int, h: float = 1e-5, tol: float = 1e-4) -> No
             down, _, _ = model.loss_and_grads(ids, mask, gold, params, cfg)
             flat[idx] = keep
             fd = (up - down) / (2 * h)
-            an = grads[name].reshape(-1)[idx]
+            an = grads.views[name].reshape(-1)[idx]
             assert abs(an - fd) / max(abs(an), abs(fd), 1e-6) < tol, (seed, name, int(idx))
 
 

@@ -197,6 +197,16 @@ def test_crossval_report_matches_the_golden_copy(crossval_run):
     assert (out / "cv_report.json").read_bytes() == golden.read_bytes()
 
 
+def test_crossval_checkpoints_match_the_golden_digests(crossval_run):
+    """Both fold checkpoints are pinned byte for byte, so a change in
+    initialization, training or the payload layout cannot pass unseen."""
+    _, _, out = crossval_run
+    golden = Path(__file__).parent / "golden" / "ckpt_xsmall_seed11.sha256"
+    for line in golden.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split()
+        assert reporting.sha256_of(out / name) == digest, name
+
+
 def test_crossval_checkpoints_are_sized_to_the_fold_vocabulary(crossval_run):
     _, _, out = crossval_run
     report = json.loads((out / "cv_report.json").read_text(encoding="utf-8"))
@@ -414,6 +424,18 @@ def test_csv_that_is_not_utf8_exits_2(command, tmp_path, capsys):
     assert str(data) in captured.err and "UTF-8" in captured.err
 
 
+def test_crossval_negative_seed_exits_2(tmp_path, capsys):
+    data = crossval_csv(tmp_path)
+    code = run_cli(
+        "crossval", "--data", data, "--out", tmp_path / "out", "--preset", "xsmall",
+        "--k", "2", "--seed", "-1",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def copy_checkpoint(src: Path, dst: Path) -> Path:
     dst.write_bytes(src.read_bytes())
     shutil.copyfile(f"{src}.vocab.txt", f"{dst}.vocab.txt")
@@ -445,8 +467,13 @@ def test_checkpoint_naming_the_per_term_scale_still_scores(crossval_run, tmp_pat
         ("attention.include_p2p", "yes", "include_p2p must be true or false"),
         ("attention.include_p2p", 0, "include_p2p must be true or false"),
         ("input_layout", "bogus", "unknown input_layout 'bogus'"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", 7.5, "seed must be a non-negative integer, got 7.5"),
     ],
-    ids=["scale-global", "scale-null", "p2p-string", "p2p-int", "layout-unknown"],
+    ids=[
+        "scale-global", "scale-null", "p2p-string", "p2p-int", "layout-unknown",
+        "seed-negative", "seed-float",
+    ],
 )
 def test_score_refuses_a_bad_config_field_with_exit_2(
     crossval_run, tmp_path, capsys, field, value, message

@@ -1,12 +1,13 @@
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import math
 import struct
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -88,7 +89,9 @@ def test_init_rows_keep_the_leading_rows_of_the_full_draw():
     full = M.init_params(cfg)
     cut = M.init_params(cfg, rows=9)
     assert cut.token_embed.shape == (9, cfg.d_model)
-    assert cut.token_embed.base is None  # the dropped rows are not kept alive
+    # the dropped rows are not kept alive: the buffer holds 9 token rows
+    assert cut.flat.size == full.flat.size - (cfg.vocab_size - 9) * cfg.d_model
+    assert np.shares_memory(cut.token_embed, cut.flat)
     assert np.array_equal(cut.token_embed, full.token_embed[:9])
     for (name, got), (_, want) in itertools.islice(
         zip(cut.named_arrays(), full.named_arrays()), 1, None
@@ -97,6 +100,42 @@ def test_init_rows_keep_the_leading_rows_of_the_full_draw():
     for bad in (0, cfg.vocab_size + 1):
         with pytest.raises(ConfigError):
             M.init_params(cfg, rows=bad)
+
+
+def assert_flat_layout(params, cfg, rows=None):
+    """Every array of ``params`` views ``params.flat`` at its
+    ``_param_shapes`` offset, and the buffer holds nothing else."""
+    rows = cfg.vocab_size if rows is None else rows
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert params.flat.size == M._param_count(cfg) - (cfg.vocab_size - rows) * cfg.d_model
+    shapes = M._param_shapes(cfg, rows)
+    assert [name for name, _ in params.named_arrays()] == list(shapes)
+    base = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for (name, arr), shape in zip(params.named_arrays(), shapes.values()):
+        assert arr.shape == shape and arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] - base == 8 * offset, name
+        offset += arr.size
+    assert offset == params.flat.size
+    # the struct's fields are those views, not copies
+    skip = ("layers", "flat", "views", "relative")
+    reachable = [getattr(params, f.name) for f in fields(params) if f.name not in skip]
+    for lay in params.layers:
+        reachable += [getattr(lay, f.name) for f in fields(lay) if f.name != "attn"]
+        reachable += [getattr(lay.attn, f.name) for f in fields(lay.attn)]
+    assert {id(a) for a in reachable} == {id(a) for _, a in params.named_arrays()}
+
+
+def test_parameters_and_gradients_are_views_of_one_buffer():
+    cfg = micro_config(layers=2, vocab_size=64)
+    for rows in (None, 9):
+        params = M.init_params(cfg, rows=rows)
+        assert_flat_layout(params, cfg, rows)
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, rows or cfg.vocab_size, (2, cfg.max_len))
+        _, grads, _ = M.loss_and_grads(ids, np.ones((2, cfg.max_len)), rng.random(2), params, cfg)
+        assert_flat_layout(grads, cfg, rows)
+        assert not np.shares_memory(grads.flat, params.flat)
 
 
 def test_shared_relative_table_is_aliased():
@@ -346,7 +385,7 @@ def test_micro_model_gradients_match_finite_differences():
             down, _, _ = M.loss_and_grads(ids, mask, gold, params, cfg)
             flat[idx] = keep
             fd = (up - down) / (2 * h)
-            an = grads[name].reshape(-1)[idx]
+            an = grads.views[name].reshape(-1)[idx]
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
             worst = max(worst, rel)
             assert rel < 1e-4, (name, int(idx), an, fd, rel)
@@ -375,22 +414,27 @@ def test_trimmed_training_step_matches_the_full_length_step(seed):
     assert widths == [cfg.max_len] * cfg.layers
 
     assert abs(loss - full_loss) <= 1e-12
-    for name, want in full_grads.items():
-        assert grads[name].shape == want.shape, name
-        assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+    for (name, got), (_, want) in zip(grads.named_arrays(), full_grads.named_arrays()):
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
     assert trimmed_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 def test_gradient_clipping_rescales_to_unit_norm():
-    grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
+    cfg = micro_config()
+    grads = M._params_over(cfg)
+    grads.out_w[:2] = (3.0, 4.0)
+    grads.layers[0].b1[0] = 12.0
     total = M.clip_global_norm(grads, 1.0)
     assert abs(total - 13.0) < 1e-12
-    joint = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    joint = math.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_arrays()))
     assert abs(joint - 1.0) < 1e-12
 
-    small = {"a": np.array([0.3, 0.4])}
+    small = M._params_over(cfg)
+    small.out_w[:2] = (0.3, 0.4)
     M.clip_global_norm(small, 1.0)
-    assert np.array_equal(small["a"], np.array([0.3, 0.4]))
+    assert np.array_equal(small.out_w[:2], np.array([0.3, 0.4]))
+    assert np.count_nonzero(small.flat) == 2
 
 
 # ------------------------------------------------------- inference forward
@@ -780,12 +824,16 @@ def test_training_sizes_the_token_table_and_adam_slots_to_the_vocabulary(tmp_pat
     assert rows < cfg.vocab_size
     assert params.token_embed.shape == (rows, cfg.d_model)
     (opt,) = made
-    assert opt.m["token_embed"].shape == opt.v["token_embed"].shape == (rows, cfg.d_model)
+    assert opt.m.shape == opt.v.shape == opt._scratch.shape == params.flat.shape
+    # Adam stepped the buffer in place, and the arrays still view it
+    assert_flat_layout(params, cfg, rows)
+    assert not np.array_equal(params.flat, M.init_params(cfg, rows=rows).flat)
 
     path = M.save_checkpoint(params, cfg, tmp_path / "fold.ckpt")
     loaded, loaded_cfg = M.load_checkpoint(path)
     assert loaded_cfg == replace(cfg, vocab_size=rows)
-    assert np.array_equal(loaded.token_embed, params.token_embed)
+    assert np.array_equal(loaded.flat, params.flat)
+    assert_flat_layout(loaded, loaded_cfg)
     assert [p.name for p in tmp_path.iterdir()] == ["fold.ckpt"]
 
 
@@ -855,7 +903,7 @@ def test_non_finite_gradient_norm_raises_naming_the_step(poison, monkeypatch):
         loss, grads, score = real(*args, **kwargs)
         steps.append(loss)
         if len(steps) == 4:  # the last of 2 epochs x 2 steps
-            grads["layers.0.w1"][0, 0] = poison
+            grads.layers[0].w1[0, 0] = poison
         return loss, grads, score
 
     monkeypatch.setattr(M, "loss_and_grads", poisoned)
@@ -883,8 +931,8 @@ def test_capacity_separation_on_overfit_task():
         )
         _, trace_s = M.train(d, split, small)
         _, trace_t = M.train(d, split, tiny)
-        small_losses.append(trace_s.final_epoch_train_loss())
-        tiny_losses.append(trace_t.final_epoch_train_loss())
+        small_losses.append(trace_s.epoch_train_losses()[-1])
+        tiny_losses.append(trace_t.epoch_train_losses()[-1])
     assert sorted(small_losses)[1] < sorted(tiny_losses)[1]
 
 
@@ -1050,6 +1098,8 @@ def test_missing_checkpoint_is_io_error(tmp_path):
 
 
 GOLDEN_SEED7_SMALL_SCORE = 0.4998889379563953
+# the whole checkpoint, since the score reads only token rows 2-17
+GOLDEN_SEED7_SMALL_CKPT_SHA256 = "ee4fdc89830d94d97954a3c8be80378c0faaf5d25089a189824126d22a5f6137"
 
 
 def test_frozen_forward_score_from_seeded_checkpoint(tmp_path):
@@ -1060,6 +1110,7 @@ def test_frozen_forward_score_from_seeded_checkpoint(tmp_path):
     params = M.init_params(cfg)
     path = tmp_path / "seed7.ckpt"
     M.save_checkpoint(params, cfg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED7_SMALL_CKPT_SHA256
     loaded, loaded_cfg = M.load_checkpoint(path)
     ids = tuple(range(2, 18))
     mask = tuple([1] * 10 + [0] * 6)
