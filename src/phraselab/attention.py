@@ -112,18 +112,6 @@ class RelativeTerms:
 
 
 @dataclass
-class AttentionGrads:
-    dh: np.ndarray
-    dwq_c: np.ndarray
-    dwk_c: np.ndarray
-    dwv: np.ndarray
-    dwq_r: np.ndarray
-    dwk_r: np.ndarray
-    drel_embed: np.ndarray
-    dwo: np.ndarray
-
-
-@dataclass
 class AttentionCache:
     """Everything the backward pass needs from one forward pass."""
 
@@ -354,13 +342,15 @@ def forward_batched(
     return out, raw, cache
 
 
-def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads:
+def backward_batched(d_out: np.ndarray, cache: AttentionCache, grads: AttentionParams) -> np.ndarray:
     """Gradients of a scalar loss through one batched forward pass.
 
-    ``d_out`` must match the forward output shape. Returns gradients
-    for the input hidden states and every parameter array, with the
-    scale denominator treated as a constant (it is piecewise constant
-    in the parameters and differentiable nowhere it changes).
+    ``d_out`` must match the forward output shape; a mismatch raises
+    before anything is written. Each parameter's gradient is added into
+    the same-named array of ``grads``, and the input hidden states'
+    gradient is returned. The scale denominator is treated as a
+    constant (it is piecewise constant in the parameters and
+    differentiable nowhere it changes).
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     expected = (cache.h.shape[0], cache.h.shape[1], cache.cfg.d_model)
@@ -374,7 +364,7 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
     _, _, onehot, pair_flat = _bucket_tables(length, cfg.max_rel_distance)
 
     d_model = cfg.d_model
-    dwo = cache.merged.reshape(-1, d_model).T @ d_out.reshape(-1, d_model)
+    grads.wo += cache.merged.reshape(-1, d_model).T @ d_out.reshape(-1, d_model)
     d_merged = d_out @ params.wo.T
     d_ctx = _split_heads(d_merged, n_heads)  # (B, H, L, dh)
 
@@ -427,16 +417,11 @@ def backward_batched(d_out: np.ndarray, cache: AttentionCache) -> AttentionGrads
     dqr_full = _merge_heads(dqr)  # (2k, d_model)
     dkr_full = _merge_heads(dkr)
 
-    h = cache.h
-    h2 = h.reshape(-1, d_model)
-    dh = dqc_full @ params.wq_c.T + dkc_full @ params.wk_c.T + dv_full @ params.wv.T
-    return AttentionGrads(
-        dh=dh,
-        dwq_c=h2.T @ dqc_full.reshape(-1, d_model),
-        dwk_c=h2.T @ dkc_full.reshape(-1, d_model),
-        dwv=h2.T @ dv_full.reshape(-1, d_model),
-        dwq_r=params.rel_embed.T @ dqr_full,
-        dwk_r=params.rel_embed.T @ dkr_full,
-        drel_embed=dqr_full @ params.wq_r.T + dkr_full @ params.wk_r.T,
-        dwo=dwo,
-    )
+    h2 = cache.h.reshape(-1, d_model)
+    grads.wq_c += h2.T @ dqc_full.reshape(-1, d_model)
+    grads.wk_c += h2.T @ dkc_full.reshape(-1, d_model)
+    grads.wv += h2.T @ dv_full.reshape(-1, d_model)
+    grads.wq_r += params.rel_embed.T @ dqr_full
+    grads.wk_r += params.rel_embed.T @ dkr_full
+    grads.rel_embed += dqr_full @ params.wq_r.T + dkr_full @ params.wk_r.T
+    return dqc_full @ params.wq_c.T + dkc_full @ params.wk_c.T + dv_full @ params.wv.T

@@ -35,20 +35,17 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    flags: dict,
-    seed,
-    inputs: dict[str, Path],
-    outputs: set[Path],
-    started: float,
-) -> Path:
+def _write_manifest(args: argparse.Namespace, seed, outputs: set[Path], started: float) -> Path:
+    """Write ``run.json`` into ``args.out``: every parsed option, the
+    seed the run used, and the hashes of the data file and ``outputs``."""
+    out_dir = Path(args.out)
+    data = Path(args.data)
+    flags = {name: value for name, value in vars(args).items() if name not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": reporting.exact_reals(flags),
         "seed": seed,
-        "inputs": {str(p): reporting.sha256_of(p) for p in inputs.values()},
+        "inputs": {str(data): reporting.sha256_of(data)},
         "outputs": {
             str(p.relative_to(out_dir)): reporting.sha256_of(p) for p in sorted(outputs)
         },
@@ -63,15 +60,7 @@ def cmd_eda(args: argparse.Namespace) -> int:
     d = corpus.load_dataset(args.data)
     report = corpus.compute_eda(d, char_bin_width=args.char_bin, word_bin_width=args.word_bin)
     written = corpus.export_eda(report, out_dir)
-    _write_manifest(
-        out_dir,
-        "eda",
-        {"data": args.data, "out": args.out, "char_bin": args.char_bin, "word_bin": args.word_bin},
-        None,
-        {"data": Path(args.data)},
-        written,
-        started,
-    )
+    _write_manifest(args, None, written, started)
     return EXIT_OK
 
 
@@ -91,15 +80,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         ),
         reporting.write_hist_csv(out_dir / "hist_levenshtein.csv", report.histogram),
     }
-    _write_manifest(
-        out_dir,
-        "baseline",
-        {"data": args.data, "out": args.out},
-        None,
-        {"data": Path(args.data)},
-        written,
-        started,
-    )
+    _write_manifest(args, None, written, started)
     return EXIT_OK
 
 
@@ -176,18 +157,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         "config": reporting.exact_reals(model.config_dict(cfg)),
     }
     written.add(reporting.write_json(out_dir / "cv_report.json", payload))
-
-    flags = {
-        "data": args.data,
-        "out": args.out,
-        "preset": args.preset,
-        "k": args.k,
-        "bins": args.bins,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "layout": args.layout,
-    }
-    _write_manifest(out_dir, "crossval", flags, cfg.seed, {"data": Path(args.data)}, written, started)
+    _write_manifest(args, cfg.seed, written, started)
     return EXIT_OK
 
 

@@ -57,6 +57,18 @@ def pearson(y: Sequence[float], yhat: Sequence[float]) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def pearson_if_defined(
+    y: Sequence[float], yhat: Sequence[float]
+) -> tuple[Optional[float], Optional[str]]:
+    """``(pearson(y, yhat), None)``, or ``(None, reason)`` when the
+    correlation is undefined: a constant input, fewer than two pairs,
+    or sequences of different lengths."""
+    try:
+        return pearson(y, yhat), None
+    except (ZeroVariance, LengthMismatch) as exc:
+        return None, str(exc)
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     """Assignment of every record to exactly one validation fold."""
@@ -158,25 +170,20 @@ def cross_validate(
     d: Dataset,
     plan: FoldPlan,
     cfg: object,
-    train_fn: Optional[TrainFn] = None,
+    train_fn: TrainFn,
 ) -> MetricsReport:
     """Run every fold of ``plan`` and aggregate held-out losses.
 
     For fold ``f`` the trainer sees ``cfg`` reseeded to ``seed ^ f`` so
-    folds are independent yet reproducible. ``train_fn`` defaults to
-    the neural trainer; a custom hook with the same signature can
-    substitute any predictor. Per-fold Pearson is None when undefined.
+    folds are independent yet reproducible. ``train_fn`` fits and
+    scores one fold (``model.model_fold_trainer`` for the neural
+    model). Per-fold Pearson is None when undefined.
     Errors raised inside a fold propagate annotated with the fold id.
     """
     if len(plan.assignment) != len(d):
         raise ShapeMismatch(
             f"plan covers {len(plan.assignment)} records, dataset has {len(d)}"
         )
-    if train_fn is None:
-        from .model import model_fold_trainer
-
-        train_fn = model_fold_trainer
-
     gold_all = [r.score for r in d]
     all_losses: list[float] = []
     fold_rows: list[FoldMetrics] = []
@@ -203,14 +210,7 @@ def cross_validate(
         losses = [(float(p) - float(g)) ** 2 for p, g in zip(preds, gold)]
         all_losses.extend(losses)
 
-        corr: Optional[float]
-        corr_err: Optional[str]
-        try:
-            corr = pearson(gold, preds)
-            corr_err = None
-        except (ZeroVariance, LengthMismatch) as exc:
-            corr = None
-            corr_err = str(exc)
+        corr, corr_err = pearson_if_defined(gold, preds)
         if corr is not None:
             fold_pearsons.append(corr)
 

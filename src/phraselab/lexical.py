@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from . import reporting
 from .corpus import Dataset
-from .errors import EmptyDataset, LengthMismatch, ZeroVariance
+from .errors import EmptyDataset
+from .evaluation import pearson_if_defined
 
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -88,19 +89,7 @@ def run_baseline(d: Dataset) -> BaselineReport:
         raise EmptyDataset(f"{d.source_path}: baseline needs at least one record")
 
     sims = [levenshtein_similarity(r.anchor.lower(), r.target.lower()) for r in d]
-
-    from .evaluation import pearson
-
-    corr: float | None
-    error: str | None
-    try:
-        corr = pearson([r.score for r in d], sims)
-        error = None
-    except (ZeroVariance, LengthMismatch) as exc:
-        # constant column, or a single record: correlation is undefined
-        corr = None
-        error = str(exc)
-
+    corr, error = pearson_if_defined([r.score for r in d], sims)
     return BaselineReport(
         similarities=sims,
         pearson_vs_gold=corr,

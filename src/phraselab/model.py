@@ -42,21 +42,20 @@ from .errors import (
     NonFiniteWeights,
     ShapeMismatch,
     UnknownPreset,
-    ZeroVariance,
-    LengthMismatch,
     NumericOverflow,
 )
-from .evaluation import FoldOutcome, pearson
+# pearson itself stays bound here for perfbench's tracer test
+from .evaluation import FoldOutcome, pearson, pearson_if_defined  # noqa: F401
 from .text import LAYOUTS, TokenSequence, Vocabulary, build_vocab, encode
 
 LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
-# rows per forward in bulk scoring. Each block's temporaries grow with
-# the rows: at 256 rows they are faulted in afresh on every block, at
-# 24-64 rows they are reused and scored equally fast, while per-call
-# overhead grows again below that
+# rows per forward in bulk scoring. Each block allocates temporaries
+# that grow with the rows, so the tile bounds the working set: 24-64
+# rows scored equally fast, 256 rows slower, and below 24 per-call
+# overhead grows again
 _SCORE_TILE = 48
 
 
@@ -322,17 +321,17 @@ def _layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return xn * g + b, (xn, inv, g)
 
 
-def _layer_norm_backward(dy: np.ndarray, cache):
+def _layer_norm_backward(dy: np.ndarray, cache, dg: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Input gradient; the gain and bias gradients are added into ``dg`` and ``db``."""
     xn, inv, g = cache
-    dg = np.sum(dy * xn, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dg += np.sum(dy * xn, axis=tuple(range(dy.ndim - 1)))
+    db += np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxn = dy * g
-    dx = inv * (
+    return inv * (
         dxn
         - np.mean(dxn, axis=-1, keepdims=True)
         - xn * np.mean(dxn * xn, axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -599,8 +598,9 @@ def loss_and_grads(
     ``rng`` switches dropout on, as in ``forward_batch``.
 
     The gradients are a ``ModelParams`` of ``params``' layout over one
-    new buffer; the shared relative table accumulates contributions
-    from every layer.
+    new zeroed buffer. Every backward step adds into its views of it;
+    the shared relative table gathers every layer's contribution, top
+    layer first.
     """
     score, cache = forward_batch(ids, mask, params, cfg, rng=rng, keep_cache=True)
     gold = np.asarray(gold, dtype=np.float64)
@@ -638,24 +638,11 @@ def loss_and_grads(
         glay.w1 += blk["n2"].T @ d_pre
         glay.b1 += d_pre.sum(axis=0)
         d_n2 = d_pre @ lay.w1.T
-        d_xb, dg2, db2 = _layer_norm_backward(d_n2, blk["ln2"])
-        glay.ln2_g += dg2
-        glay.ln2_b += db2
-        dx = dx + d_xb
+        dx = dx + _layer_norm_backward(d_n2, blk["ln2"], glay.ln2_g, glay.ln2_b)
 
         # attention sub-block, on the grid
-        agr = attn_mod.backward_batched(layout.scatter(dx), blk["attn"])
-        glay.attn.wq_c += agr.dwq_c
-        glay.attn.wk_c += agr.dwk_c
-        glay.attn.wv += agr.dwv
-        glay.attn.wq_r += agr.dwq_r
-        glay.attn.wk_r += agr.dwk_r
-        glay.attn.wo += agr.dwo
-        grads.rel_embed += agr.drel_embed
-        d_n1, dg1, db1 = _layer_norm_backward(layout.gather(agr.dh), blk["ln1"])
-        glay.ln1_g += dg1
-        glay.ln1_b += db1
-        dx = dx + d_n1
+        dh = attn_mod.backward_batched(layout.scatter(dx), blk["attn"], glay.attn)
+        dx = dx + _layer_norm_backward(layout.gather(dh), blk["ln1"], glay.ln1_g, glay.ln1_b)
 
         if li == cache["inject_at"]:
             grads.abs_pos_embed[: layout.length] += layout.scatter(dx).sum(axis=0)
@@ -806,10 +793,7 @@ def train(
         preds = _batched_scores(va_ids, va_mask, params, cfg)
         errs = (preds - va_gold) ** 2
         val_losses.append(math.fsum(errs.tolist()) / len(errs))
-        try:
-            val_pearsons.append(pearson(va_gold, preds))
-        except (ZeroVariance, LengthMismatch):
-            val_pearsons.append(None)
+        val_pearsons.append(pearson_if_defined(va_gold, preds)[0])
         epoch_seconds.append(time.perf_counter() - started)
 
     trace = TrainTrace(
@@ -851,7 +835,7 @@ def model_fold_trainer(
         predictions=trace.val_predictions.tolist(),
         train_loss=trace.epoch_train_losses()[-1],
         trace=trace,
-        extras={"params": params, "vocab": vocab, "config": cfg},
+        extras={"params": params, "vocab": vocab},
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ def random_params(cfg, seed, scale=0.3):
         rel_embed=rng.normal(0, scale, (nb, d)),
         wo=rng.normal(0, scale, (d, d)),
     )
+
+
+GRAD_FIELDS = tuple(f.name for f in fields(AttentionParams))
+
+
+def zero_grads(params):
+    """Gradient arrays shaped like ``params``, all zero."""
+    return AttentionParams(**{name: np.zeros_like(getattr(params, name)) for name in GRAD_FIELDS})
+
+
+def run_backward(d_out, cache):
+    """(input gradient, parameter gradients) of one backward pass into
+    fresh zeroed gradients."""
+    grads = zero_grads(cache.params)
+    return backward_batched(d_out, cache, grads), grads
 
 
 def zero_position_params(params):
@@ -313,12 +329,16 @@ def test_shape_validation():
 
 
 def test_backward_rejects_wrong_upstream_shape():
+    """The shape check runs first, so a refused call writes nothing."""
     cfg = small_config()
     params = random_params(cfg, 32)
     h = np.random.default_rng(0).normal(0, 1, (2, 4, 8))
     _, _, cache = forward_batched(h, params, cfg, np.ones((2, 4)), keep_cache=True)
+    grads = zero_grads(params)
     with pytest.raises(ShapeMismatch):
-        backward_batched(np.zeros((2, 5, 8)), cache)
+        backward_batched(np.ones((2, 5, 8)), cache, grads)
+    for name in GRAD_FIELDS:
+        assert np.all(getattr(grads, name) == 0.0), name
 
 
 # -------------------------------------------------------------- gradients
@@ -328,9 +348,55 @@ def test_zero_upstream_gradient_zeroes_everything():
     params = random_params(cfg, 40)
     h = np.random.default_rng(41).normal(0, 1, (4, cfg.d_model))
     out, _, cache = forward_batched(h[None], params, cfg, np.ones((1, 4)), keep_cache=True)
-    grads = backward_batched(np.zeros_like(out), cache)
-    for field in ("dh", "dwq_c", "dwk_c", "dwv", "dwq_r", "dwk_r", "drel_embed", "dwo"):
-        assert np.all(getattr(grads, field) == 0.0)
+    dh, grads = run_backward(np.zeros_like(out), cache)
+    assert np.all(dh == 0.0)
+    for name in GRAD_FIELDS:
+        assert np.all(getattr(grads, name) == 0.0), name
+
+
+def test_backward_adds_into_the_gradients_it_is_handed():
+    """A second pass into the same arrays doubles every one exactly,
+    since x + x is exact, and returns the same input gradient."""
+    cfg = small_config()
+    params = random_params(cfg, 45)
+    rng = np.random.default_rng(46)
+    h = rng.normal(0, 1, (2, 5, cfg.d_model))
+    mask = np.ones((2, 5))
+    mask[1, 3:] = 0.0
+    out, _, cache = forward_batched(h, params, cfg, mask, keep_cache=True)
+    d_out = rng.normal(0, 1, out.shape)
+    first_dh, once = run_backward(d_out, cache)
+    twice = zero_grads(params)
+    backward_batched(d_out, cache, twice)
+    second_dh = backward_batched(d_out, cache, twice)
+    assert np.array_equal(second_dh, first_dh)
+    for name in GRAD_FIELDS:
+        assert np.any(getattr(once, name) != 0.0), name
+        assert np.array_equal(getattr(twice, name), 2.0 * getattr(once, name)), name
+
+
+def test_layers_sharing_the_relative_table_sum_into_it_in_call_order():
+    """Two modules whose weights and gradients alias one relative table,
+    as a model's layers do: the shared gradient is the first call's
+    contribution plus the second's, rounded in that order."""
+    cfg = small_config()
+    top, bottom = random_params(cfg, 47), random_params(cfg, 48)
+    bottom.rel_embed = top.rel_embed
+    rng = np.random.default_rng(49)
+    mask = np.ones((2, 4))
+    passes = []
+    for params in (top, bottom):
+        h = rng.normal(0, 1, (2, 4, cfg.d_model))
+        out, _, cache = forward_batched(h, params, cfg, mask, keep_cache=True)
+        passes.append((rng.normal(0, 1, out.shape), cache))
+
+    shared = zero_grads(top)
+    layer_grads = [shared, zero_grads(bottom)]
+    layer_grads[1].rel_embed = shared.rel_embed
+    for (d_out, cache), grads in zip(passes, layer_grads):
+        backward_batched(d_out, cache, grads)
+    alone = [run_backward(d_out, cache)[1] for d_out, cache in passes]
+    assert np.array_equal(shared.rel_embed, alone[0].rel_embed + alone[1].rel_embed)
 
 
 def test_cache_is_built_only_on_request():
@@ -392,17 +458,17 @@ def test_prepared_terms_give_the_same_forward_bits_at_every_length(include_p2p, 
 def test_prepared_terms_give_the_same_gradient_bits_at_every_length(include_p2p, zero_pos):
     cfg, params, terms = prepared_case(include_p2p, zero_pos, 62)
     rng = np.random.default_rng(63)
-    fields = ("dh", "dwq_c", "dwk_c", "dwv", "dwq_r", "dwk_r", "drel_embed", "dwo")
     for length in range(1, PREPARED_MAX_LEN + 1):
         h, mask = prepared_batch(rng, length)
         d_out = rng.normal(0, 1, h.shape)
         _, _, want_cache = forward_batched(h, params, cfg, mask, keep_cache=True)
         _, _, got_cache = forward_batched(h, params, cfg, mask, keep_cache=True, terms=terms)
         assert got_cache.terms is terms
-        want = backward_batched(d_out, want_cache)
-        got = backward_batched(d_out, got_cache)
-        for field in fields:
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (length, field)
+        want_dh, want = run_backward(d_out, want_cache)
+        got_dh, got = run_backward(d_out, got_cache)
+        assert np.array_equal(got_dh, want_dh), length
+        for name in GRAD_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (length, name)
 
 
 def test_sliced_p2p_field_equals_the_field_gathered_at_that_length():
@@ -434,11 +500,11 @@ def test_single_unmasked_key_pins_softmax_gradient():
     h = np.random.default_rng(43).normal(0, 1, (1, 3, cfg.d_model))
     mask = np.array([[1.0, 0.0, 0.0]])
     out, _, cache = forward_batched(h, params, cfg, mask, keep_cache=True)
-    grads = backward_batched(np.random.default_rng(44).normal(0, 1, out.shape), cache)
-    for field in ("dwq_c", "dwk_c", "dwq_r", "dwk_r"):
-        assert np.all(getattr(grads, field) == 0.0)
-    assert np.any(grads.dwv != 0.0)
-    assert np.any(grads.dwo != 0.0)
+    _, grads = run_backward(np.random.default_rng(44).normal(0, 1, out.shape), cache)
+    for name in ("wq_c", "wk_c", "wq_r", "wk_r"):
+        assert np.all(getattr(grads, name) == 0.0)
+    assert np.any(grads.wv != 0.0)
+    assert np.any(grads.wo != 0.0)
 
 
 def finite_difference_check(cfg, seed, with_dropout=False, h_step=1e-5, tol=1e-4):
@@ -460,18 +526,10 @@ def finite_difference_check(cfg, seed, with_dropout=False, h_step=1e-5, tol=1e-4
         return float(np.sum(out * d_out)), cache
 
     loss0, cache = run()
-    grads = backward_batched(d_out, cache)
-    targets = {
-        "wq_c": (params.wq_c, grads.dwq_c),
-        "wk_c": (params.wk_c, grads.dwk_c),
-        "wv": (params.wv, grads.dwv),
-        "wq_r": (params.wq_r, grads.dwq_r),
-        "wk_r": (params.wk_r, grads.dwk_r),
-        "rel_embed": (params.rel_embed, grads.drel_embed),
-        "wo": (params.wo, grads.dwo),
-    }
+    dh, grads = run_backward(d_out, cache)
     worst = 0.0
-    for name, (arr, an) in targets.items():
+    for name in GRAD_FIELDS:
+        arr, an = getattr(params, name), getattr(grads, name)
         flat = arr.reshape(-1)
         for idx in rng.choice(flat.size, size=3, replace=False):
             keep = flat[idx]
@@ -495,7 +553,7 @@ def finite_difference_check(cfg, seed, with_dropout=False, h_step=1e-5, tol=1e-4
         down, _ = run()
         hf[idx] = keep
         fd = (up - down) / (2 * h_step)
-        a = grads.dh.reshape(-1)[idx]
+        a = dh.reshape(-1)[idx]
         rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
         worst = max(worst, rel)
         assert rel < tol, ("h", idx, a, fd, rel)

@@ -237,6 +237,45 @@ def test_crossval_manifest_covers_every_artifact(crossval_run):
         assert reporting.sha256_of(out / rel) == digest
 
 
+def test_manifests_record_every_parsed_option_and_the_seed(crossval_run, tiny_csv, tmp_path):
+    """``flags`` holds each option as parsed, defaults included; ``seed``
+    is the seed the run used, the preset's when ``--seed`` is left out."""
+    _, data, out = crossval_run
+    manifest = read_manifest(out)
+    assert manifest["flags"] == {
+        "data": str(data), "out": str(out), "preset": "xsmall", "k": 2, "bins": 2,
+        "seed": 11, "epochs": 1, "layout": "anchor_target_context",
+    }
+    assert manifest["seed"] == 11
+
+    cv_out = tmp_path / "cv"
+    assert run_cli(
+        "crossval", "--data", data, "--out", cv_out, "--preset", "xsmall", "--k", "2",
+        "--epochs", "1",
+    ) == 0
+    manifest = read_manifest(cv_out)
+    assert manifest["flags"] == {
+        "data": str(data), "out": str(cv_out), "preset": "xsmall", "k": 2, "bins": 5,
+        "seed": None, "epochs": 1, "layout": "anchor_target_context",
+    }
+    assert manifest["seed"] == model.presets("xsmall").seed
+
+    eda_out = tmp_path / "eda"
+    assert run_cli("eda", "--data", tiny_csv, "--out", eda_out, "--char-bin", "3") == 0
+    manifest = read_manifest(eda_out)
+    assert manifest["flags"] == {
+        "data": str(tiny_csv), "out": str(eda_out), "char_bin": 3, "word_bin": 1,
+    }
+    assert manifest["seed"] is None
+
+    base_out = tmp_path / "baseline"
+    assert run_cli("baseline", "--data", tiny_csv, "--out", base_out) == 0
+    manifest = read_manifest(base_out)
+    assert manifest["flags"] == {"data": str(tiny_csv), "out": str(base_out)}
+    assert manifest["seed"] is None
+    assert manifest["inputs"] == {str(tiny_csv): reporting.sha256_of(tiny_csv)}
+
+
 def test_crossval_rerun_reproduces_reports_byte_for_byte(tmp_path):
     data = crossval_csv(tmp_path)
     outs = [tmp_path / "o1", tmp_path / "o2"]

@@ -1,10 +1,12 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phraselab.errors import (
@@ -22,6 +24,7 @@ from phraselab.evaluation import (
     cv_estimate_from_losses,
     evaluate_baseline_cv,
     pearson,
+    pearson_if_defined,
     stratified_kfold,
 )
 from phraselab.lexical import levenshtein_similarity
@@ -54,6 +57,35 @@ def test_pearson_undefined_inputs():
         pearson([1.0], [2.0])
 
 
+def test_pearson_if_defined_returns_the_value_or_the_reason():
+    assert pearson_if_defined([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == (1.0, None)
+    value, reason = pearson_if_defined([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    assert value is None and "constant" in reason
+    value, reason = pearson_if_defined([1.0], [2.0])
+    assert value is None and "at least 2" in reason
+
+
+def reference_pearson(y, z) -> float:
+    """Pearson correlation of the float inputs as given, to 60 digits.
+
+    Means, centred sums and products are exact fractions; only the
+    final square root and division round.
+    """
+    fy = [Fraction(float(v)) for v in y]
+    fz = [Fraction(float(v)) for v in z]
+    my, mz = sum(fy) / len(fy), sum(fz) / len(fz)
+    cov = sum((p - my) * (q - mz) for p, q in zip(fy, fz))
+    var_y = sum((p - my) ** 2 for p in fy)
+    var_z = sum((q - mz) ** 2 for q in fz)
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(q: Fraction) -> Decimal:
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        return float(dec(cov) / (dec(var_y) * dec(var_z)).sqrt())
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(st.floats(-100, 100), min_size=3, max_size=24),
@@ -61,15 +93,30 @@ def test_pearson_undefined_inputs():
     st.floats(0.1, 8.0),
     st.floats(-10.0, 10.0),
 )
+@example(ys=[0.0, 1e-05, 5.960464477539063e-08], seed=0, a=0.1, b=1.0)
 def test_pearson_affine_invariance(ys, seed, a, b):
+    """In exact arithmetic pearson(a*y + b, z) = pearson(y, z). In
+    floats ``a * y + b`` rounds each value by up to half an ulp of the
+    result, which on a 1e-6 spread moves the correlation of the stored
+    column itself by ~1e-11. So every call is held to a reference over
+    its own float inputs, and the two calls to each other only where
+    the transform is exact."""
     ya = np.asarray(ys)
     if np.max(ya) - np.min(ya) < 1e-6:
         return  # degenerate spread: correlation undefined or underflowing
     rng = np.random.default_rng(seed)
     yhat = rng.normal(0, 1, len(ys))
     base = pearson(ys, yhat)
-    assert abs(pearson(a * ya + b, yhat) - base) < 1e-12
-    assert abs(pearson(-a * ya + b, yhat) + base) < 1e-12
+    assert abs(base - reference_pearson(ya, yhat)) < 1e-12
+    for slope in (a, -a):
+        moved = slope * ya + b
+        got = pearson(moved, yhat)
+        assert abs(got - reference_pearson(moved, yhat)) < 1e-12
+        exact = all(
+            Fraction(m) == Fraction(slope) * Fraction(y) + Fraction(b) for m, y in zip(moved, ys)
+        )
+        if exact:
+            assert abs(got - (base if slope > 0 else -base)) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
