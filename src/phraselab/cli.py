@@ -6,9 +6,10 @@ stratified K-fold protocol), ``score`` (one prediction from a saved
 checkpoint). Every artifact-writing command also writes a ``run.json``
 manifest recording flags, input/output hashes, and wall-clock time.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation or configuration
-failure, 3 numeric failure (a non-finite training loss or checkpoint
-weight, or checkpoint weights too large to score with).
+Exit codes: 0 success, 1 I/O failure (or a worker process lost while
+training a fold), 2 validation or configuration failure, 3 numeric
+failure (a non-finite training loss or checkpoint weight, or checkpoint
+weights too large to score with).
 """
 
 from __future__ import annotations
@@ -124,17 +125,11 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     cfg = replace(cfg, **overrides)
 
     plan = evaluation.stratified_kfold(d, args.k, n_bins=args.bins, seed=cfg.seed)
+    report = evaluation.cross_validate(d, plan, cfg, train_fn=model.model_fold_trainer)
 
     written: set[Path] = set()
-    fold_counter = [0]
-
-    def capture_trainer(data, train_idx, val_idx, fold_cfg):
-        outcome = model.model_fold_trainer(data, train_idx, val_idx, fold_cfg)
-        written.update(_fold_artifacts(out_dir, fold_counter[0], fold_cfg, outcome))
-        fold_counter[0] += 1
-        return outcome
-
-    report = evaluation.cross_validate(d, plan, cfg, train_fn=capture_trainer)
+    for fold, outcome in enumerate(report.outcomes):
+        written |= _fold_artifacts(out_dir, fold, evaluation.fold_config(cfg, fold), outcome)
 
     payload = {
         "cv_estimate": report.cv_estimate,

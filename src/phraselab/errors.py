@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Errors are grouped by how the command-line layer maps them to exit
-codes: I/O failures exit 1, validation and configuration problems
-exit 2, numeric failures (a non-finite training loss or checkpoint
-weight, or weights too large to evaluate) exit 3.
+codes: I/O failures (a lost worker process among them) exit 1,
+validation and configuration problems exit 2, numeric failures (a
+non-finite training loss or checkpoint weight, or weights too large to
+evaluate) exit 3.
 """
 
 
@@ -17,6 +18,11 @@ class IoError(PhraseLabError):
 
 class BadMagic(IoError):
     """Checkpoint file does not begin with the expected magic bytes."""
+
+
+class WorkerLost(IoError):
+    """A worker process exited before returning its result, killed or
+    out of memory."""
 
 
 class ValidationError(PhraseLabError):

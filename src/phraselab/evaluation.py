@@ -5,11 +5,20 @@ held-out prediction across all folds: each sample is scored exactly
 once by the model that never saw it, and the estimate is the exact mean
 of those per-sample losses (compensated summation, so a fixture with
 per-fold losses 0.2 and 0.4 aggregates to 0.3 precisely).
+
+Folds train in parallel worker processes, one per usable CPU, each
+pinned to one BLAS thread; results are aggregated in fold order, so
+nothing depends on how many workers ran.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +32,15 @@ from .errors import (
     PhraseLabError,
     ShapeMismatch,
     TooFewRecords,
+    WorkerLost,
     ZeroVariance,
+)
+
+# OpenBLAS's thread-count setters, under the names its builds export
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
 )
 
 
@@ -138,7 +155,8 @@ class FoldOutcome:
     extras: dict = field(default_factory=dict)
 
 
-# trainer signature: (dataset, train_indices, val_indices, fold_config)
+# trainer signature: (dataset, train_indices, val_indices, fold_config);
+# a module-level function, since worker processes import it by name
 TrainFn = Callable[[Dataset, Sequence[int], Sequence[int], object], FoldOutcome]
 
 
@@ -157,6 +175,8 @@ class MetricsReport:
     folds: list[FoldMetrics]
     cv_estimate: float
     mean_pearson: Optional[float]
+    # what each fold's trainer returned, in fold order
+    outcomes: list[FoldOutcome] = field(repr=False)
 
 
 def cv_estimate_from_losses(per_sample_losses: Sequence[float]) -> float:
@@ -164,6 +184,93 @@ def cv_estimate_from_losses(per_sample_losses: Sequence[float]) -> float:
     if len(per_sample_losses) == 0:
         raise ConfigError("cannot aggregate zero held-out losses")
     return math.fsum(per_sample_losses) / len(per_sample_losses)
+
+
+def fold_config(cfg: object, fold: int) -> object:
+    """``cfg`` reseeded for fold ``fold``: seed ``cfg.seed ^ fold``, so
+    folds are independent yet reproducible. None stays None."""
+    return cfg if cfg is None else replace(cfg, seed=cfg.seed ^ fold)
+
+
+def _openblas_function(names: Sequence[str]):
+    """The first of ``names`` that a loaded OpenBLAS exports, as a
+    ctypes function, or None. Loaded libraries are read from
+    ``/proc/self/maps``, so where that file is missing this finds none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            entries = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = sorted({e[5] for e in entries if len(e) == 6 and "openblas" in e[5].lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Worker initializer: this process's OpenBLAS runs on one thread,
+    so the workers together use one thread per CPU."""
+    setter = _openblas_function(_OPENBLAS_SETTERS)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+def _fold_workers(k: int) -> int:
+    """Worker processes for ``k`` folds: one per usable CPU, at most
+    ``k``. 1, so the folds train in this process, when the BLAS's
+    thread count cannot be pinned: workers at its default count would
+    oversubscribe the CPUs."""
+    if _openblas_function(_OPENBLAS_SETTERS) is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(k, cpus))
+
+
+@contextlib.contextmanager
+def _started(calls: Sequence[Callable[[], FoldOutcome]]):
+    """Start ``calls``; yields, in their order, one function per call
+    that returns its result or raises what it raised.
+
+    With one worker (``_fold_workers``) each call runs in this process
+    when its result is asked for. Otherwise every call is sent at once
+    to a pool of forked worker processes (fork, so workers do not
+    import NumPy again), and when the block ends every worker has
+    exited, with calls not yet started cancelled. A worker that dies
+    ends the block with WorkerLost.
+    """
+    workers = _fold_workers(len(calls))
+    if workers == 1:
+        yield calls
+        return
+    # imported only here: the pool machinery would add ~5-7 ms to the
+    # cold start of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_pin_blas_to_one_thread,
+    )
+    try:
+        yield [pool.submit(call).result for call in calls]
+    except BrokenProcessPool as exc:
+        raise WorkerLost("a worker process exited before returning its results") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -174,56 +281,78 @@ def cross_validate(
 ) -> MetricsReport:
     """Run every fold of ``plan`` and aggregate held-out losses.
 
-    For fold ``f`` the trainer sees ``cfg`` reseeded to ``seed ^ f`` so
-    folds are independent yet reproducible. ``train_fn`` fits and
-    scores one fold (``model.model_fold_trainer`` for the neural
-    model). Per-fold Pearson is None when undefined.
-    Errors raised inside a fold propagate annotated with the fold id.
+    For fold ``f`` the trainer sees ``fold_config(cfg, f)``.
+    ``train_fn`` fits and scores one fold (``model.model_fold_trainer``
+    for the neural model). The folds train at once in worker processes,
+    one per usable CPU and at most ``plan.k``, each on one BLAS thread
+    (one after another in this process where there is one CPU or the
+    BLAS thread count cannot be set). So ``train_fn`` must be a
+    module-level function, which workers import by name, and ``cfg``,
+    the dataset and what it returns must pickle. The outcomes come back
+    in ``MetricsReport.outcomes``, in fold order. Per-fold Pearson is
+    None when undefined.
+
+    Errors raised inside a fold propagate annotated with the fold id;
+    when several folds fail, the lowest-numbered one is reported.
     """
     if len(plan.assignment) != len(d):
         raise ShapeMismatch(
             f"plan covers {len(plan.assignment)} records, dataset has {len(d)}"
         )
-    gold_all = [r.score for r in d]
-    all_losses: list[float] = []
-    fold_rows: list[FoldMetrics] = []
-    fold_pearsons: list[float] = []
-
+    splits = []
     for f in range(plan.k):
         val_idx = plan.val_indices(f)
         train_idx = plan.train_indices(f)
         if not val_idx or not train_idx:
             raise EmptySplit(f"fold {f} leaves an empty side of the split")
-        fold_cfg = cfg if cfg is None else replace(cfg, seed=cfg.seed ^ f)
-        try:
-            outcome = train_fn(d, train_idx, val_idx, fold_cfg)
-        except PhraseLabError as exc:
-            raise type(exc)(f"fold {f}: {exc}") from exc
+        splits.append((train_idx, val_idx))
+    try:
+        pickle.dumps(train_fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigError(f"train_fn must be a module-level function: {exc}") from exc
 
-        preds = np.asarray(outcome.predictions, dtype=np.float64)
-        if preds.shape != (len(val_idx),):
-            raise ShapeMismatch(
-                f"fold {f}: trainer returned {preds.shape[0] if preds.ndim else 0} "
-                f"predictions for {len(val_idx)} held-out records"
+    gold_all = [r.score for r in d]
+    all_losses: list[float] = []
+    fold_rows: list[FoldMetrics] = []
+    fold_pearsons: list[float] = []
+    outcomes: list[FoldOutcome] = []
+
+    calls = [
+        functools.partial(train_fn, d, train_idx, val_idx, fold_config(cfg, f))
+        for f, (train_idx, val_idx) in enumerate(splits)
+    ]
+    with _started(calls) as results:
+        for f, ((_, val_idx), result) in enumerate(zip(splits, results)):
+            try:
+                outcome = result()
+            except PhraseLabError as exc:
+                raise type(exc)(f"fold {f}: {exc}") from exc
+
+            preds = np.asarray(outcome.predictions, dtype=np.float64)
+            if preds.shape != (len(val_idx),):
+                raise ShapeMismatch(
+                    f"fold {f}: trainer returned {preds.shape[0] if preds.ndim else 0} "
+                    f"predictions for {len(val_idx)} held-out records"
+                )
+            gold = np.asarray([gold_all[i] for i in val_idx], dtype=np.float64)
+            losses = [(float(p) - float(g)) ** 2 for p, g in zip(preds, gold)]
+            all_losses.extend(losses)
+
+            corr, corr_err = pearson_if_defined(gold, preds)
+            if corr is not None:
+                fold_pearsons.append(corr)
+
+            fold_rows.append(
+                FoldMetrics(
+                    fold=f,
+                    n_val=len(val_idx),
+                    train_loss=float(outcome.train_loss),
+                    validation_loss=cv_estimate_from_losses(losses),
+                    pearson=corr,
+                    pearson_error=corr_err,
+                )
             )
-        gold = np.asarray([gold_all[i] for i in val_idx], dtype=np.float64)
-        losses = [(float(p) - float(g)) ** 2 for p, g in zip(preds, gold)]
-        all_losses.extend(losses)
-
-        corr, corr_err = pearson_if_defined(gold, preds)
-        if corr is not None:
-            fold_pearsons.append(corr)
-
-        fold_rows.append(
-            FoldMetrics(
-                fold=f,
-                n_val=len(val_idx),
-                train_loss=float(outcome.train_loss),
-                validation_loss=cv_estimate_from_losses(losses),
-                pearson=corr,
-                pearson_error=corr_err,
-            )
-        )
+            outcomes.append(outcome)
 
     mean_corr = (
         math.fsum(fold_pearsons) / len(fold_pearsons) if fold_pearsons else None
@@ -232,26 +361,26 @@ def cross_validate(
         folds=fold_rows,
         cv_estimate=cv_estimate_from_losses(all_losses),
         mean_pearson=mean_corr,
+        outcomes=outcomes,
+    )
+
+
+def _baseline_fold(data: Dataset, train_idx, val_idx, _cfg) -> FoldOutcome:
+    """Fold hook for the lexical baseline: nothing to fit, so its train
+    loss is the MSE of its similarities against gold on the training side."""
+    from .lexical import levenshtein_similarity
+
+    def sim(i: int) -> float:
+        rec = data.records[i]
+        return levenshtein_similarity(rec.anchor.lower(), rec.target.lower())
+
+    train_losses = [(sim(i) - data.records[i].score) ** 2 for i in train_idx]
+    return FoldOutcome(
+        predictions=[sim(i) for i in val_idx],
+        train_loss=cv_estimate_from_losses(train_losses),
     )
 
 
 def evaluate_baseline_cv(d: Dataset, plan: FoldPlan) -> MetricsReport:
-    """Cross-validate the training-free lexical baseline.
-
-    The baseline has nothing to fit, so its per-fold train loss is just
-    the MSE of its similarities against gold on the training side.
-    """
-    from .lexical import levenshtein_similarity
-
-    def baseline_fold(data, train_idx, val_idx, _cfg) -> FoldOutcome:
-        def sim(i: int) -> float:
-            rec = data.records[i]
-            return levenshtein_similarity(rec.anchor.lower(), rec.target.lower())
-
-        train_losses = [(sim(i) - data.records[i].score) ** 2 for i in train_idx]
-        return FoldOutcome(
-            predictions=[sim(i) for i in val_idx],
-            train_loss=cv_estimate_from_losses(train_losses),
-        )
-
-    return cross_validate(d, plan, None, train_fn=baseline_fold)
+    """Cross-validate the training-free lexical baseline (``_baseline_fold``)."""
+    return cross_validate(d, plan, None, train_fn=_baseline_fold)

@@ -156,6 +156,14 @@ class ModelParams:
         """
         return iter(self.views.items())
 
+    def __reduce__(self):
+        """Pickle as the one buffer and its layout, so the arrays of the
+        copy view its ``flat`` as here (pickling each view would copy
+        every array a second time, and detach it from ``flat``). The
+        relative terms are left behind; the copy builds its own."""
+        shapes = {name: arr.shape for name, arr in self.views.items()}
+        return _lay_out, (shapes, len(self.layers), self.flat)
+
 
 @dataclass
 class TrainTrace:
@@ -230,7 +238,13 @@ def _params_over(
     zeroed buffer of that size is made. ``rows`` is as in
     ``_param_shapes``.
     """
-    shapes = _param_shapes(cfg, rows)
+    return _lay_out(_param_shapes(cfg, rows), cfg.layers, flat)
+
+
+def _lay_out(
+    shapes: dict[str, tuple[int, ...]], depth: int, flat: Optional[np.ndarray] = None
+) -> ModelParams:
+    """``_params_over`` given the ``_param_shapes`` of a ``depth``-layer model."""
     sizes = [math.prod(shape) for shape in shapes.values()]
     if flat is None:
         flat = np.zeros(sum(sizes))
@@ -246,7 +260,7 @@ def _params_over(
             ),
             **{name: views[f"layers.{i}.{name}"] for name in _LAYER_ARRAYS},
         )
-        for i in range(cfg.layers)
+        for i in range(depth)
     ]
     top = {name: view for name, view in views.items() if not name.startswith("layers.")}
     return ModelParams(layers=layers, flat=flat, views=views, **top)

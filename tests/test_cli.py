@@ -9,20 +9,35 @@ checked against the documented contract: 0 success, 1 I/O failure,
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import shutil
 import struct
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phraselab import cli, model, reporting
+from phraselab import cli, evaluation, model, reporting
 from phraselab.errors import NonFiniteLoss
 from phraselab.text import SPECIAL_TOKENS, encode, load_vocab
 
 from conftest import write_csv
-from test_model import rewrite_config_block
+from test_model import assert_flat_layout, rewrite_config_block
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 
 def run_cli(*argv) -> int:
@@ -274,6 +289,44 @@ def test_manifests_record_every_parsed_option_and_the_seed(crossval_run, tiny_cs
     assert manifest["flags"] == {"data": str(tiny_csv), "out": str(base_out)}
     assert manifest["seed"] is None
     assert manifest["inputs"] == {str(tiny_csv): reporting.sha256_of(tiny_csv)}
+
+
+def artifacts(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote but its manifest, which records the out path
+    and the wall clock."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "run.json"}
+
+
+def test_one_worker_writes_the_bytes_the_default_worker_count_writes(
+    crossval_run, tmp_path, monkeypatch
+):
+    _, data, out = crossval_run
+    monkeypatch.setattr(evaluation, "_fold_workers", lambda k: 1)
+    serial = tmp_path / "serial"
+    assert run_cli(
+        "crossval", "--data", data, "--out", serial, "--preset", "xsmall",
+        "--k", "2", "--bins", "2", "--seed", "11", "--epochs", "1",
+    ) == 0
+    assert artifacts(serial) == artifacts(out)
+
+
+def test_a_subprocess_without_blas_thread_variables_writes_the_same_bytes(
+    crossval_run, tmp_path
+):
+    _, data, out = crossval_run
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    again = tmp_path / "again"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "phraselab", "crossval", "--data", str(data),
+            "--out", str(again), "--preset", "xsmall", "--k", "2", "--bins", "2",
+            "--seed", "11", "--epochs", "1",
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert artifacts(again) == artifacts(out)
 
 
 def test_crossval_rerun_reproduces_reports_byte_for_byte(tmp_path):
@@ -561,6 +614,95 @@ def test_score_vocab_that_is_not_utf8_exits_2(crossval_run, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert str(vocab) in captured.err and "UTF-8" in captured.err
+
+
+# ---------------------------------------------------------------- fold workers
+
+# Fold trainers are module-level functions, since cross_validate sends
+# them to its worker processes by name. They tell the folds apart by the
+# seed each is handed, CV_SEED ^ fold.
+CV_SEED = 8
+train_fold = model.model_fold_trainer
+
+
+def crossval_in_workers(data, out, monkeypatch, trainer=None) -> int:
+    """``crossval`` of three folds on two worker processes, whatever the
+    host; ``trainer`` stands in for the model's fold trainer."""
+    monkeypatch.setattr(evaluation, "_fold_workers", lambda k: 2)
+    if trainer is not None:
+        monkeypatch.setattr(model, "model_fold_trainer", trainer)
+    return run_cli(
+        "crossval", "--data", data, "--out", out, "--preset", "xsmall",
+        "--k", "3", "--bins", "2", "--seed", CV_SEED, "--epochs", "1",
+    )
+
+
+def non_finite_in_fold_1(data, train_idx, val_idx, cfg):
+    if cfg.seed ^ CV_SEED == 1:
+        raise NonFiniteLoss("step 0: loss is nan")
+    return train_fold(data, train_idx, val_idx, cfg)
+
+
+def non_finite_in_folds_1_and_2(data, train_idx, val_idx, cfg):
+    fold = cfg.seed ^ CV_SEED
+    if fold == 1:
+        # fold 2 fails first, yet fold 1 is the one reported
+        time.sleep(0.5)
+    if fold in (1, 2):
+        raise NonFiniteLoss(f"step 0: loss is nan in fold {fold}")
+    return train_fold(data, train_idx, val_idx, cfg)
+
+
+def dies_in_fold_1(data, train_idx, val_idx, cfg):
+    if cfg.seed ^ CV_SEED == 1:
+        os._exit(1)
+    return train_fold(data, train_idx, val_idx, cfg)
+
+
+def test_a_worker_raising_non_finite_loss_exits_3_naming_the_fold(tmp_path, capsys, monkeypatch):
+    data = crossval_csv(tmp_path)
+    assert crossval_in_workers(data, tmp_path / "out", monkeypatch, non_finite_in_fold_1) == 3
+    err = capsys.readouterr().err
+    assert err == "error: fold 1: step 0: loss is nan\n"
+    assert multiprocessing.active_children() == []
+    # folds 0 and 2 trained, but a failed run writes no artifact
+    assert not (tmp_path / "out").exists()
+
+
+def test_of_two_failing_folds_the_lower_one_is_reported(tmp_path, capsys, monkeypatch):
+    data = crossval_csv(tmp_path)
+    code = crossval_in_workers(data, tmp_path / "out", monkeypatch, non_finite_in_folds_1_and_2)
+    assert code == 3
+    assert capsys.readouterr().err == "error: fold 1: step 0: loss is nan in fold 1\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    data = crossval_csv(tmp_path)
+    assert crossval_in_workers(data, tmp_path / "out", monkeypatch, dies_in_fold_1) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a worker process exited before returning its results\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_saved_fold_parameters_view_the_buffer_their_worker_sent(tmp_path, monkeypatch):
+    saved = []
+    save = model.save_checkpoint
+
+    def recording_save(params, cfg, path):
+        saved.append((params, cfg))
+        return save(params, cfg, path)
+
+    monkeypatch.setattr(model, "save_checkpoint", recording_save)
+    data = crossval_csv(tmp_path)
+    out = tmp_path / "out"
+    assert crossval_in_workers(data, out, monkeypatch) == 0
+    assert multiprocessing.active_children() == []
+    assert [cfg.seed for _, cfg in saved] == [CV_SEED ^ f for f in range(3)]
+    for fold, (params, cfg) in enumerate(saved):
+        rows = len(load_vocab(out / f"fold_{fold}.ckpt.vocab.txt"))
+        assert_flat_layout(params, cfg, rows)
 
 
 # ---------------------------------------------------------------- exit mapping

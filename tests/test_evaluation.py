@@ -1,4 +1,7 @@
+import ctypes
 import math
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phraselab import evaluation as ev
 from phraselab.errors import (
     ConfigError,
     EmptySplit,
@@ -252,15 +256,53 @@ class StubConfig:
     seed: int = 40
 
 
+# Fold trainers are module-level functions: cross_validate sends them to
+# its worker processes by name.
+
+def oracle(data, train_idx, val_idx, _cfg):
+    return FoldOutcome(
+        predictions=[data.records[i].score for i in val_idx], train_loss=0.0
+    )
+
+
+def constant(_data, _train_idx, val_idx, _cfg):
+    return FoldOutcome(predictions=[0.5] * len(val_idx), train_loss=0.0)
+
+
+def seed_spy(data, train_idx, val_idx, cfg):
+    """The oracle, reporting the seed and the process it ran with."""
+    return FoldOutcome(
+        predictions=[data.records[i].score for i in val_idx],
+        train_loss=0.0,
+        extras={"seed": cfg.seed, "pid": os.getpid()},
+    )
+
+
+def broken(_data, _train_idx, _val_idx, _cfg):
+    raise ZeroVariance("synthetic failure")
+
+
+def overcounting(_data, _train_idx, val_idx, _cfg):
+    return FoldOutcome(predictions=[0.5] * (len(val_idx) + 1), train_loss=0.0)
+
+
+def blas_threads(data, train_idx, val_idx, _cfg):
+    """The oracle, reporting its process and its OpenBLAS thread count."""
+    threads = ev._openblas_function(OPENBLAS_GETTERS)()
+    return FoldOutcome(
+        predictions=[data.records[i].score for i in val_idx],
+        train_loss=0.0,
+        extras={"threads": threads, "pid": os.getpid()},
+    )
+
+
+OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in ev._OPENBLAS_SETTERS)
+
+
 def test_cross_validate_with_oracle_predictor():
     scores = [0.1, 0.3, 0.5, 0.7, 0.2, 0.8, 0.4, 0.6]
     d = scored_dataset(scores)
     plan = stratified_kfold(d, k=2, n_bins=1, seed=0)
-
-    def oracle(data, train_idx, val_idx, _cfg):
-        return FoldOutcome(
-            predictions=[data.records[i].score for i in val_idx], train_loss=0.0
-        )
 
     report = cross_validate(d, plan, StubConfig(), train_fn=oracle)
     assert report.cv_estimate == 0.0
@@ -277,9 +319,6 @@ def test_cross_validate_with_constant_predictor():
     d = scored_dataset(scores)
     plan = stratified_kfold(d, k=2, n_bins=1, seed=3)
 
-    def constant(_data, _train_idx, val_idx, _cfg):
-        return FoldOutcome(predictions=[0.5] * len(val_idx), train_loss=0.0)
-
     report = cross_validate(d, plan, StubConfig(), train_fn=constant)
     assert report.mean_pearson is None
     want = cv_estimate_from_losses([(s - 0.5) ** 2 for s in scores])
@@ -292,15 +331,9 @@ def test_cross_validate_with_constant_predictor():
 def test_cross_validate_reseeds_each_fold():
     d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
     plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
-    seen = []
 
-    def spy(data, train_idx, val_idx, cfg):
-        seen.append(cfg.seed)
-        return FoldOutcome(
-            predictions=[data.records[i].score for i in val_idx], train_loss=0.0
-        )
-
-    cross_validate(d, plan, StubConfig(seed=40), train_fn=spy)
+    report = cross_validate(d, plan, StubConfig(seed=40), train_fn=seed_spy)
+    seen = [outcome.extras["seed"] for outcome in report.outcomes]
     assert seen == [40 ^ 0, 40 ^ 1, 40 ^ 2]
 
 
@@ -308,16 +341,14 @@ def test_cross_validate_single_record_folds_have_undefined_pearson():
     d = scored_dataset([0.2, 0.4, 0.6])
     plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
 
-    def oracle(data, train_idx, val_idx, _cfg):
-        return FoldOutcome(
-            predictions=[data.records[i].score for i in val_idx], train_loss=0.0
-        )
-
     report = cross_validate(d, plan, StubConfig(), train_fn=oracle)
     assert report.mean_pearson is None
     assert all(fm.pearson is None for fm in report.folds)
     assert report.cv_estimate == 0.0
 
+
+# the two plan checks below hand over a lambda, which no worker process
+# could receive: they pass only if the checks run before any fold starts
 
 def test_cross_validate_rejects_mismatched_plan():
     d = scored_dataset([0.1, 0.5, 0.9])
@@ -333,26 +364,90 @@ def test_cross_validate_rejects_empty_fold_side():
         cross_validate(d, plan, StubConfig(), train_fn=lambda *a: None)
 
 
+def test_cross_validate_refuses_a_trainer_workers_cannot_import():
+    d = scored_dataset([0.1, 0.5, 0.9, 0.3])
+    plan = stratified_kfold(d, k=2, n_bins=1, seed=0)
+
+    def local(data, train_idx, val_idx, cfg):
+        return oracle(data, train_idx, val_idx, cfg)
+
+    with pytest.raises(ConfigError, match="module-level"):
+        cross_validate(d, plan, StubConfig(), train_fn=local)
+    assert multiprocessing.active_children() == []
+
+
 def test_cross_validate_annotates_fold_errors():
     d = scored_dataset([0.1, 0.5, 0.9, 0.3])
     plan = stratified_kfold(d, k=2, n_bins=1, seed=0)
 
-    def broken(_data, _train_idx, _val_idx, _cfg):
-        raise ZeroVariance("synthetic failure")
-
     with pytest.raises(ZeroVariance, match=r"fold 0: synthetic failure"):
         cross_validate(d, plan, StubConfig(), train_fn=broken)
+    assert multiprocessing.active_children() == []
 
 
 def test_cross_validate_rejects_wrong_prediction_count():
     d = scored_dataset([0.1, 0.5, 0.9, 0.3])
     plan = stratified_kfold(d, k=2, n_bins=1, seed=0)
 
-    def lazy(_data, _train_idx, val_idx, _cfg):
-        return FoldOutcome(predictions=[0.5] * (len(val_idx) + 1), train_loss=0.0)
-
     with pytest.raises(ShapeMismatch, match="fold 0"):
-        cross_validate(d, plan, StubConfig(), train_fn=lazy)
+        cross_validate(d, plan, StubConfig(), train_fn=overcounting)
+    assert multiprocessing.active_children() == []
+
+
+# ------------------------------------------------------------ fold workers
+
+def test_folds_train_in_worker_processes_and_come_back_in_fold_order(monkeypatch):
+    monkeypatch.setattr(ev, "_fold_workers", lambda k: 2)
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4])
+    plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
+
+    report = cross_validate(d, plan, StubConfig(seed=40), train_fn=seed_spy)
+    assert [outcome.extras["seed"] for outcome in report.outcomes] == [40, 41, 42]
+    assert [fm.fold for fm in report.folds] == [0, 1, 2]
+    pids = {outcome.extras["pid"] for outcome in report.outcomes}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert multiprocessing.active_children() == []
+
+
+def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
+    monkeypatch.setattr(ev, "_openblas_function", lambda names: None)
+    assert ev._fold_workers(3) == 1
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
+    plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
+
+    report = cross_validate(d, plan, StubConfig(), train_fn=seed_spy)
+    assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
+
+
+def test_worker_count_is_one_per_usable_cpu_at_most_k():
+    if ev._openblas_function(ev._OPENBLAS_SETTERS) is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for k in (2, 3, 64):
+        assert ev._fold_workers(k) == min(k, cpus)
+
+
+def test_each_worker_runs_one_blas_thread(monkeypatch):
+    setter = ev._openblas_function(ev._OPENBLAS_SETTERS)
+    getter = ev._openblas_function(OPENBLAS_GETTERS)
+    if setter is None or getter is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter")
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    before = getter()
+    # two threads here, so a worker that merely inherited the count would show it
+    setter(2)
+    try:
+        if getter() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads")
+        monkeypatch.setattr(ev, "_fold_workers", lambda k: 2)
+        d = scored_dataset([0.1, 0.9, 0.2, 0.8])
+        plan = stratified_kfold(d, k=2, n_bins=1, seed=0)
+        report = cross_validate(d, plan, StubConfig(), train_fn=blas_threads)
+        assert [outcome.extras["threads"] for outcome in report.outcomes] == [1, 1]
+        assert os.getpid() not in {outcome.extras["pid"] for outcome in report.outcomes}
+        assert getter() == 2
+    finally:
+        setter(before)
 
 
 # ------------------------------------------------------------ baseline folds

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -656,6 +657,38 @@ def test_fold_trainer_reports_the_scores_predict_gives():
     outcome = M.model_fold_trainer(d, train_idx, val_idx, cfg)
     again = M.predict(d, val_idx, outcome.extras["params"], cfg, outcome.extras["vocab"])
     assert outcome.predictions == again.tolist()
+
+
+def test_a_fold_outcome_pickles_with_one_parameter_buffer():
+    """What a worker sends back: the parameters cross as ``params.flat``
+    alone, and their arrays view the buffer that arrives."""
+    d = overlap_dataset(n_pairs=8, n_extra=3)
+    cfg = micro_config(
+        max_len=16,
+        vocab_size=64,
+        attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8),
+        epochs=1,
+        batch_size=4,
+    )
+    outcome = M.model_fold_trainer(d, list(range(8)), [8, 9, 10], cfg)
+    params, rows = outcome.extras["params"], len(outcome.extras["vocab"])
+
+    buffers = []
+    blob = pickle.dumps(outcome, protocol=5, buffer_callback=buffers.append)
+    sent = sorted((bytes(b) for b in buffers), key=len)
+    # the parameter buffer and the held-out scores, nothing else
+    assert len(sent) == 2
+    assert sent[-1] == params.flat.tobytes()
+    assert sent[0] == outcome.trace.val_predictions.tobytes()
+    assert len(blob) < 16 * 1024
+
+    back = pickle.loads(blob, buffers=sent)
+    again = back.extras["params"]
+    assert_flat_layout(again, cfg, rows)
+    assert again.relative is None
+    assert np.array_equal(again.flat, params.flat)
+    # in-band, as a process pool sends it: one copy of the buffer
+    assert len(pickle.dumps(outcome)) < params.flat.nbytes + 16 * 1024
 
 
 def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
