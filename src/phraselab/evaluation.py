@@ -6,9 +6,10 @@ once by the model that never saw it, and the estimate is the exact mean
 of those per-sample losses (compensated summation, so a fixture with
 per-fold losses 0.2 and 0.4 aggregates to 0.3 precisely).
 
-Folds train in parallel worker processes, one per usable CPU, each
-pinned to one BLAS thread; results are aggregated in fold order, so
-nothing depends on how many workers ran.
+Folds train in parallel worker processes, as many as it takes to keep
+every usable CPU busy until the last fold ends, each on one BLAS
+thread; results are aggregated in fold order, so nothing depends on
+how many workers ran.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ from .errors import (
     ZeroVariance,
 )
 
-# OpenBLAS's thread-count setters, under the names its builds export
+# OpenBLAS's thread-count setters and getters, under the names its
+# builds export
 _OPENBLAS_SETTERS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
     "scipy_openblas_set_num_threads64_",
 )
+_OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _OPENBLAS_SETTERS)
 
 
 def pearson(y: Sequence[float], yhat: Sequence[float]) -> float:
@@ -214,28 +217,56 @@ def _openblas_function(names: Sequence[str]):
     return None
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Worker initializer: this process's OpenBLAS runs on one thread,
-    so the workers together use one thread per CPU."""
+def _blas_thread_functions():
+    """The loaded OpenBLAS's thread-count setter and getter, as ctypes
+    functions with their signatures declared, or None when either is
+    missing."""
     setter = _openblas_function(_OPENBLAS_SETTERS)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+    getter = _openblas_function(_OPENBLAS_GETTERS)
+    if setter is None or getter is None:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """This process's OpenBLAS runs on one thread inside the block and
+    gets its own count back when the block ends; a no-op where the
+    count cannot be set and read. Processes forked inside the block run
+    one BLAS thread each: a forked OpenBLAS restarts its thread pool at
+    the parent's count at fork time, and setting the count in the child
+    afterwards does not shrink that pool."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    set_threads, get_threads = functions
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _fold_workers(k: int) -> int:
-    """Worker processes for ``k`` folds: one per usable CPU, at most
-    ``k``. 1, so the folds train in this process, when the BLAS's
-    thread count cannot be pinned: workers at its default count would
+    """Worker processes for ``k`` folds: the fewest ``w`` with
+    ``min(k, usable CPUs) <= w <= k`` that divide ``k``, so every round
+    of folds keeps every CPU busy and no CPU idles while the last fold
+    trains (3 folds on 2 CPUs get 3 workers, 10 folds get 2). 1, so the
+    folds train in this process, when the BLAS's thread count cannot be
+    pinned and restored: workers at its default count would
     oversubscribe the CPUs."""
-    if _openblas_function(_OPENBLAS_SETTERS) is None:
+    if _blas_thread_functions() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(k, cpus))
+    least = max(1, min(k, cpus))
+    return next((w for w in range(least, k + 1) if k % w == 0), least)
 
 
 @contextlib.contextmanager
@@ -245,9 +276,11 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]]):
 
     With one worker (``_fold_workers``) each call runs in this process
     when its result is asked for. Otherwise every call is sent at once
-    to a pool of forked worker processes (fork, so workers do not
-    import NumPy again), and when the block ends every worker has
-    exited, with calls not yet started cancelled. A worker that dies
+    to a pool of ``_fold_workers(len(calls))`` forked worker processes
+    (fork, so workers do not import NumPy again), forked under
+    ``_one_blas_thread`` so each runs one BLAS thread. When the block
+    ends every worker has exited, with calls not yet started cancelled,
+    and this process has its BLAS thread count back. A worker that dies
     ends the block with WorkerLost.
     """
     workers = _fold_workers(len(calls))
@@ -260,17 +293,14 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]]):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_pin_blas_to_one_thread,
-    )
-    try:
-        yield [pool.submit(call).result for call in calls]
-    except BrokenProcessPool as exc:
-        raise WorkerLost("a worker process exited before returning its results") from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            yield [pool.submit(call).result for call in calls]
+        except BrokenProcessPool as exc:
+            raise WorkerLost("a worker process exited before returning its results") from exc
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -284,9 +314,11 @@ def cross_validate(
     For fold ``f`` the trainer sees ``fold_config(cfg, f)``.
     ``train_fn`` fits and scores one fold (``model.model_fold_trainer``
     for the neural model). The folds train at once in worker processes,
-    one per usable CPU and at most ``plan.k``, each on one BLAS thread
-    (one after another in this process where there is one CPU or the
-    BLAS thread count cannot be set). So ``train_fn`` must be a
+    each on one BLAS thread: the fewest that divide ``plan.k`` and are
+    at least ``min(plan.k, usable CPUs)``, so 3 folds on 2 CPUs run in
+    3 workers that share the CPUs (one after another in this process
+    where there is one CPU or the BLAS thread count cannot be set and
+    read). So ``train_fn`` must be a
     module-level function, which workers import by name, and ``cfg``,
     the dataset and what it returns must pickle. The outcomes come back
     in ``MetricsReport.outcomes``, in fold order. Per-fold Pearson is

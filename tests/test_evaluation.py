@@ -1,4 +1,3 @@
-import ctypes
 import math
 import multiprocessing
 import os
@@ -287,16 +286,32 @@ def overcounting(_data, _train_idx, val_idx, _cfg):
 
 
 def blas_threads(data, train_idx, val_idx, _cfg):
-    """The oracle, reporting its process and its OpenBLAS thread count."""
-    threads = ev._openblas_function(OPENBLAS_GETTERS)()
+    """The oracle, reporting its process, its OpenBLAS thread count and,
+    after a product large enough for OpenBLAS to start its threads, the
+    OS threads it runs (None without /proc)."""
+    threads = ev._blas_thread_functions()[1]()
+    square = np.ones((400, 400))
+    square @ square
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     return FoldOutcome(
         predictions=[data.records[i].score for i in val_idx],
         train_loss=0.0,
-        extras={"threads": threads, "pid": os.getpid()},
+        extras={"threads": threads, "tasks": tasks, "pid": os.getpid()},
     )
 
 
-OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in ev._OPENBLAS_SETTERS)
+# set to a fork-context Barrier(k) by the test that uses it; forked
+# workers inherit it
+FOLDS_STARTED = None
+
+
+def baseline_once_all_started(data, train_idx, val_idx, cfg):
+    """The lexical baseline's fold with its pid, returned only once every
+    fold of the call has started (at once with FOLDS_STARTED set)."""
+    if FOLDS_STARTED is not None:
+        FOLDS_STARTED.wait(timeout=30)
+    outcome = ev._baseline_fold(data, train_idx, val_idx, cfg)
+    return FoldOutcome(outcome.predictions, outcome.train_loss, extras={"pid": os.getpid()})
 
 
 def test_cross_validate_with_oracle_predictor():
@@ -410,8 +425,13 @@ def test_folds_train_in_worker_processes_and_come_back_in_fold_order(monkeypatch
 
 
 def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
-    monkeypatch.setattr(ev, "_openblas_function", lambda names: None)
-    assert ev._fold_workers(3) == 1
+    real = ev._openblas_function
+    # no setter, then a setter but no getter to restore the count with
+    for missing in (ev._OPENBLAS_SETTERS, ev._OPENBLAS_GETTERS):
+        monkeypatch.setattr(
+            ev, "_openblas_function", lambda names: None if names == missing else real(names)
+        )
+        assert ev._fold_workers(3) == 1
     d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
     plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
 
@@ -419,22 +439,51 @@ def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
     assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
 
 
-def test_worker_count_is_one_per_usable_cpu_at_most_k():
-    if ev._openblas_function(ev._OPENBLAS_SETTERS) is None:
-        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    for k in (2, 3, 64):
-        assert ev._fold_workers(k) == min(k, cpus)
+def test_worker_count_is_the_fewest_divisor_of_k_that_fills_every_cpu(monkeypatch):
+    if ev._blas_thread_functions() is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")
+    table = {
+        (2, 2): 2, (3, 2): 3, (5, 2): 5, (9, 2): 3, (64, 2): 2,
+        (10, 4): 5, (4, 8): 4, (3, 1): 1,
+    }
+    for (k, cpus), workers in table.items():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert ev._fold_workers(k) == workers, (k, cpus)
+
+
+def test_three_folds_on_two_cpus_train_at_once_in_three_workers(monkeypatch):
+    if ev._blas_thread_functions() is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6, 0.5])
+    plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # every fold waits for the other two: this fails unless all three overlap
+    monkeypatch.setitem(
+        globals(), "FOLDS_STARTED", multiprocessing.get_context("fork").Barrier(3)
+    )
+    report = cross_validate(d, plan, StubConfig(), train_fn=baseline_once_all_started)
+    pids = [outcome.extras["pid"] for outcome in report.outcomes]
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setitem(globals(), "FOLDS_STARTED", None)
+    monkeypatch.setattr(ev, "_fold_workers", lambda k: 1)
+    serial = cross_validate(d, plan, StubConfig(), train_fn=baseline_once_all_started)
+    assert serial.folds == report.folds
+    assert (serial.cv_estimate, serial.mean_pearson) == (report.cv_estimate, report.mean_pearson)
+    assert [(o.predictions, o.train_loss) for o in serial.outcomes] == [
+        (o.predictions, o.train_loss) for o in report.outcomes
+    ]
 
 
 def test_each_worker_runs_one_blas_thread(monkeypatch):
-    setter = ev._openblas_function(ev._OPENBLAS_SETTERS)
-    getter = ev._openblas_function(OPENBLAS_GETTERS)
-    if setter is None or getter is None:
-        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter")
-    setter.argtypes, setter.restype = [ctypes.c_int], None
+    functions = ev._blas_thread_functions()
+    if functions is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")
+    setter, getter = functions
     before = getter()
-    # two threads here, so a worker that merely inherited the count would show it
+    # two threads here, so a worker forked at this process's count would
+    # show it
     setter(2)
     try:
         if getter() != 2:
@@ -446,6 +495,10 @@ def test_each_worker_runs_one_blas_thread(monkeypatch):
         assert [outcome.extras["threads"] for outcome in report.outcomes] == [1, 1]
         assert os.getpid() not in {outcome.extras["pid"] for outcome in report.outcomes}
         assert getter() == 2
+        tasks = [outcome.extras["tasks"] for outcome in report.outcomes]
+        if tasks == [None, None]:
+            pytest.skip("no /proc/self/task to count a worker's OS threads in")
+        assert tasks == [1, 1]
     finally:
         setter(before)
 
