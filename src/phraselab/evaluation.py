@@ -6,10 +6,10 @@ once by the model that never saw it, and the estimate is the exact mean
 of those per-sample losses (compensated summation, so a fixture with
 per-fold losses 0.2 and 0.4 aggregates to 0.3 precisely).
 
-Folds train in parallel worker processes, as many as it takes to keep
-every usable CPU busy until the last fold ends, each on one BLAS
-thread; results are aggregated in fold order, so nothing depends on
-how many workers ran.
+Folds train in parallel worker processes, each on one BLAS thread:
+one per usable CPU, or fewer than twice that many where the extra
+workers keep every CPU busy until the last fold ends. Results are
+aggregated in fold order, so nothing depends on how many workers ran.
 """
 
 from __future__ import annotations
@@ -252,13 +252,14 @@ def _one_blas_thread():
 
 
 def _fold_workers(k: int) -> int:
-    """Worker processes for ``k`` folds: the fewest ``w`` with
-    ``min(k, usable CPUs) <= w <= k`` that divide ``k``, so every round
-    of folds keeps every CPU busy and no CPU idles while the last fold
-    trains (3 folds on 2 CPUs get 3 workers, 10 folds get 2). 1, so the
-    folds train in this process, when the BLAS's thread count cannot be
-    pinned and restored: workers at its default count would
-    oversubscribe the CPUs."""
+    """Worker processes for ``k`` folds: ``least = min(k, usable CPUs)``,
+    or the fewest ``w`` below ``2 * least`` that divides ``k``, so every
+    round of folds keeps every CPU busy and no CPU idles while the last
+    fold trains (3 folds on 2 CPUs get 3 workers, 9 get 3, 10 get 2).
+    The bound keeps a prime ``k`` from forking ``k`` workers (7 folds on
+    2 CPUs get 2). 1, so the folds train in this process, when the
+    BLAS's thread count cannot be pinned and restored: workers at its
+    default count would oversubscribe the CPUs."""
     if _blas_thread_functions() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -266,24 +267,25 @@ def _fold_workers(k: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     least = max(1, min(k, cpus))
-    return next((w for w in range(least, k + 1) if k % w == 0), least)
+    return next((w for w in range(least, min(k, 2 * least - 1) + 1) if k % w == 0), least)
 
 
 @contextlib.contextmanager
-def _started(calls: Sequence[Callable[[], FoldOutcome]]):
-    """Start ``calls``; yields, in their order, one function per call
-    that returns its result or raises what it raised.
+def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
+    """Start ``calls`` on ``workers`` processes; yields, in their order,
+    one function per call that returns its result or raises what it
+    raised.
 
-    With one worker (``_fold_workers``) each call runs in this process
-    when its result is asked for. Otherwise every call is sent at once
-    to a pool of ``_fold_workers(len(calls))`` forked worker processes
-    (fork, so workers do not import NumPy again), forked under
-    ``_one_blas_thread`` so each runs one BLAS thread. When the block
-    ends every worker has exited, with calls not yet started cancelled,
-    and this process has its BLAS thread count back. A worker that dies
-    ends the block with WorkerLost.
+    With one worker each call runs in this process when its result is
+    asked for. Otherwise every call is sent at once to a pool of forked
+    worker processes (fork, so workers do not import NumPy again). A
+    fork pool forks all its workers at the first submit, and the
+    submits run under ``_one_blas_thread``, so each worker runs one BLAS
+    thread while this process has its own count back as soon as the
+    calls are sent. When the block ends every worker has exited, with
+    calls not yet started cancelled. A worker that dies ends the block
+    with WorkerLost.
     """
-    workers = _fold_workers(len(calls))
     if workers == 1:
         yield calls
         return
@@ -293,14 +295,15 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]]):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with _one_blas_thread():
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            yield [pool.submit(call).result for call in calls]
-        except BrokenProcessPool as exc:
-            raise WorkerLost("a worker process exited before returning its results") from exc
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        with _one_blas_thread():
+            futures = [pool.submit(call) for call in calls]
+        yield [future.result for future in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerLost("a worker process exited before returning its results") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -308,17 +311,20 @@ def cross_validate(
     plan: FoldPlan,
     cfg: object,
     train_fn: TrainFn,
+    *,
+    in_process: bool = False,
 ) -> MetricsReport:
     """Run every fold of ``plan`` and aggregate held-out losses.
 
     For fold ``f`` the trainer sees ``fold_config(cfg, f)``.
     ``train_fn`` fits and scores one fold (``model.model_fold_trainer``
-    for the neural model). The folds train at once in worker processes,
-    each on one BLAS thread: the fewest that divide ``plan.k`` and are
-    at least ``min(plan.k, usable CPUs)``, so 3 folds on 2 CPUs run in
-    3 workers that share the CPUs (one after another in this process
-    where there is one CPU or the BLAS thread count cannot be set and
-    read). So ``train_fn`` must be a
+    for the neural model). The folds train at once in
+    ``_fold_workers(plan.k)`` worker processes, each on one BLAS
+    thread, so 3 folds on 2 CPUs run in 3 workers that share the CPUs.
+    They train one after another in this process where there is one
+    CPU, where the BLAS thread count cannot be set and read, or with
+    ``in_process``, for folds too quick to be worth a worker. Either
+    way ``train_fn`` must be a
     module-level function, which workers import by name, and ``cfg``,
     the dataset and what it returns must pickle. The outcomes come back
     in ``MetricsReport.outcomes``, in fold order. Per-fold Pearson is
@@ -353,7 +359,8 @@ def cross_validate(
         functools.partial(train_fn, d, train_idx, val_idx, fold_config(cfg, f))
         for f, (train_idx, val_idx) in enumerate(splits)
     ]
-    with _started(calls) as results:
+    workers = 1 if in_process else _fold_workers(plan.k)
+    with _started(calls, workers) as results:
         for f, ((_, val_idx), result) in enumerate(zip(splits, results)):
             try:
                 outcome = result()
@@ -414,5 +421,6 @@ def _baseline_fold(data: Dataset, train_idx, val_idx, _cfg) -> FoldOutcome:
 
 
 def evaluate_baseline_cv(d: Dataset, plan: FoldPlan) -> MetricsReport:
-    """Cross-validate the training-free lexical baseline (``_baseline_fold``)."""
-    return cross_validate(d, plan, None, train_fn=_baseline_fold)
+    """Cross-validate the training-free lexical baseline (``_baseline_fold``)
+    in this process: a fold is far quicker than forking a worker."""
+    return cross_validate(d, plan, None, train_fn=_baseline_fold, in_process=True)

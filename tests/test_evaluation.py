@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import os
@@ -277,6 +278,15 @@ def seed_spy(data, train_idx, val_idx, cfg):
     )
 
 
+def pid_spy(data, train_idx, val_idx, _cfg):
+    """The oracle, reporting the process it ran in."""
+    return FoldOutcome(
+        predictions=[data.records[i].score for i in val_idx],
+        train_loss=0.0,
+        extras={"pid": os.getpid()},
+    )
+
+
 def broken(_data, _train_idx, _val_idx, _cfg):
     raise ZeroVariance("synthetic failure")
 
@@ -439,12 +449,14 @@ def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
     assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
 
 
-def test_worker_count_is_the_fewest_divisor_of_k_that_fills_every_cpu(monkeypatch):
+def test_worker_count_table_over_faked_cpu_counts(monkeypatch):
     if ev._blas_thread_functions() is None:
         pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")
+    # no divisor of 5, 7 or 61 lies below twice the CPUs, so those keep
+    # one worker per CPU rather than forking one per fold
     table = {
-        (2, 2): 2, (3, 2): 3, (5, 2): 5, (9, 2): 3, (64, 2): 2,
-        (10, 4): 5, (4, 8): 4, (3, 1): 1,
+        (2, 2): 2, (3, 2): 3, (5, 2): 2, (7, 2): 2, (61, 2): 2, (9, 2): 3,
+        (64, 2): 2, (10, 4): 5, (4, 8): 4, (3, 1): 1,
     }
     for (k, cpus), workers in table.items():
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -495,6 +507,12 @@ def test_each_worker_runs_one_blas_thread(monkeypatch):
         assert [outcome.extras["threads"] for outcome in report.outcomes] == [1, 1]
         assert os.getpid() not in {outcome.extras["pid"] for outcome in report.outcomes}
         assert getter() == 2
+        # the count is back once the folds are sent, not only when they
+        # have all returned
+        call = functools.partial(blas_threads, d, [0, 1], [2, 3], StubConfig())
+        with ev._started([call, call], 2) as results:
+            assert getter() == 2
+            assert [result().extras["threads"] for result in results] == [1, 1]
         tasks = [outcome.extras["tasks"] for outcome in report.outcomes]
         if tasks == [None, None]:
             pytest.skip("no /proc/self/task to count a worker's OS threads in")
@@ -504,6 +522,16 @@ def test_each_worker_runs_one_blas_thread(monkeypatch):
 
 
 # ------------------------------------------------------------ baseline folds
+
+def test_baseline_folds_train_in_this_process(monkeypatch):
+    monkeypatch.setattr(ev, "_fold_workers", lambda k: 2)
+    monkeypatch.setattr(ev, "_baseline_fold", pid_spy)
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
+    plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
+
+    report = evaluate_baseline_cv(d, plan)
+    assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
+
 
 def test_baseline_cv_matches_whole_dataset_mse():
     """The baseline never trains, so held-out aggregation must equal the
