@@ -15,7 +15,11 @@ weights too large to score with).
 from __future__ import annotations
 
 import argparse
+import functools
+import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -85,12 +89,41 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fold_artifacts(out_dir: Path, fold: int, fold_cfg, outcome) -> set[Path]:
-    written: set[Path] = set()
+def _staging_dir(out_dir: Path) -> Path:
+    """A new directory on the file system ``out_dir`` is or will be on,
+    so files staged there move into ``out_dir`` with ``os.replace``:
+    inside ``out_dir`` when it exists, else in its nearest existing
+    ancestor, so that a failed run creates no directory."""
+    parent = out_dir.absolute()
+    while not parent.is_dir():
+        parent = parent.parent
+    return Path(tempfile.mkdtemp(prefix=".crossval-staging-", dir=parent))
+
+
+def _train_and_stage_fold(staging: Path, d, train_idx, val_idx, cfg) -> evaluation.FoldOutcome:
+    """Fold hook of ``crossval``, run in the fold's worker: train with
+    ``model.model_fold_trainer``, write the fold's checkpoint and
+    vocabulary into ``staging`` (named by the fold's seed, which no
+    other fold shares), and return the outcome with the checkpoint's
+    path in place of the parameters and the vocabulary, so neither is
+    sent back to the command."""
+    outcome = model.model_fold_trainer(d, train_idx, val_idx, cfg)
+    extras = outcome.extras
+    ckpt = model.save_checkpoint(extras.pop("params"), cfg, staging / f"seed_{cfg.seed}.ckpt")
+    save_vocab(extras.pop("vocab"), Path(f"{ckpt}.vocab.txt"))
+    extras["checkpoint"] = ckpt
+    return outcome
+
+
+def _fold_artifacts(out_dir: Path, fold: int, outcome) -> set[Path]:
+    """Move fold ``fold``'s staged checkpoint and vocabulary into
+    ``out_dir`` and write its loss and Pearson curves there."""
+    staged = outcome.extras["checkpoint"]
     ckpt = out_dir / f"fold_{fold}.ckpt"
-    model.save_checkpoint(outcome.extras["params"], fold_cfg, ckpt)
-    written.add(ckpt)
-    written.add(save_vocab(outcome.extras["vocab"], Path(f"{ckpt}.vocab.txt")))
+    vocab = Path(f"{ckpt}.vocab.txt")
+    os.replace(staged, ckpt)
+    os.replace(f"{staged}.vocab.txt", vocab)
+    written = {ckpt, vocab}
 
     trace = outcome.trace
     rows = ["epoch,mean_train_loss,val_loss"]
@@ -125,11 +158,21 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     cfg = replace(cfg, **overrides)
 
     plan = evaluation.stratified_kfold(d, args.k, n_bins=args.bins, seed=cfg.seed)
-    report = evaluation.cross_validate(d, plan, cfg, train_fn=model.model_fold_trainer)
-
-    written: set[Path] = set()
-    for fold, outcome in enumerate(report.outcomes):
-        written |= _fold_artifacts(out_dir, fold, evaluation.fold_config(cfg, fold), outcome)
+    # the workers write the folds' checkpoints here; they reach out_dir
+    # only once every fold has succeeded, so a failed run writes none.
+    # cross_validate has stopped every worker by the time it returns or
+    # raises, so none writes here after the removal
+    staging = _staging_dir(out_dir)
+    try:
+        report = evaluation.cross_validate(
+            d, plan, cfg, train_fn=functools.partial(_train_and_stage_fold, staging)
+        )
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written: set[Path] = set()
+        for fold, outcome in enumerate(report.outcomes):
+            written |= _fold_artifacts(out_dir, fold, outcome)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     payload = {
         "cv_estimate": report.cv_estimate,

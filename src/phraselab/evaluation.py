@@ -8,8 +8,11 @@ per-fold losses 0.2 and 0.4 aggregates to 0.3 precisely).
 
 Folds train in parallel worker processes, each on one BLAS thread:
 one per usable CPU, or fewer than twice that many where the extra
-workers keep every CPU busy until the last fold ends. Results are
-aggregated in fold order, so nothing depends on how many workers ran.
+workers keep every CPU busy until the last fold ends. Whatever a fold
+trainer returns is sent back from its worker, so a trainer that saves
+its model itself (as the ``crossval`` command's does) keeps the
+parameters out of the calling process. Results are aggregated in fold
+order, so nothing depends on how many workers ran.
 """
 
 from __future__ import annotations
@@ -195,17 +198,24 @@ def fold_config(cfg: object, fold: int) -> object:
     return cfg if cfg is None else replace(cfg, seed=cfg.seed ^ fold)
 
 
-def _openblas_function(names: Sequence[str]):
-    """The first of ``names`` that a loaded OpenBLAS exports, as a
-    ctypes function, or None. Loaded libraries are read from
-    ``/proc/self/maps``, so where that file is missing this finds none."""
+@functools.cache
+def _openblas_paths() -> tuple[str, ...]:
+    """Paths of the loaded OpenBLAS libraries, read from
+    ``/proc/self/maps`` once per process (NumPy's is loaded with this
+    module, and forked workers map the same libraries); none where that
+    file is missing."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             entries = [line.rstrip("\n").split(maxsplit=5) for line in maps]
     except OSError:
-        return None
-    paths = sorted({e[5] for e in entries if len(e) == 6 and "openblas" in e[5].lower()})
-    for path in paths:
+        return ()
+    return tuple(sorted({e[5] for e in entries if len(e) == 6 and "openblas" in e[5].lower()}))
+
+
+def _openblas_function(names: Sequence[str]):
+    """The first of ``names`` that a loaded OpenBLAS exports, as a
+    ctypes function, or None."""
+    for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
@@ -325,10 +335,14 @@ def cross_validate(
     CPU, where the BLAS thread count cannot be set and read, or with
     ``in_process``, for folds too quick to be worth a worker. Either
     way ``train_fn`` must be a
-    module-level function, which workers import by name, and ``cfg``,
-    the dataset and what it returns must pickle. The outcomes come back
-    in ``MetricsReport.outcomes``, in fold order. Per-fold Pearson is
-    None when undefined.
+    module-level function (or a ``functools.partial`` of one), which
+    workers import by name, and ``cfg``, the dataset and what it
+    returns must pickle. What it returns is all that crosses back from
+    a worker: ``model.model_fold_trainer`` returns the fold's parameters
+    and vocabulary in ``extras``, while ``crossval``'s trainer writes
+    them to disk in the worker and returns their path instead. The
+    outcomes come back in ``MetricsReport.outcomes``, in fold order.
+    Per-fold Pearson is None when undefined.
 
     Errors raised inside a fold propagate annotated with the fold id;
     when several folds fail, the lowest-numbered one is reported.

@@ -606,15 +606,17 @@ def loss_and_grads(
     params: ModelParams,
     cfg: ModelConfig,
     rng: Optional[np.random.Generator] = None,
+    grads: Optional[ModelParams] = None,
 ):
     """MSE loss over a batch plus gradients for every parameter array.
 
     ``rng`` switches dropout on, as in ``forward_batch``.
 
-    The gradients are a ``ModelParams`` of ``params``' layout over one
-    new zeroed buffer. Every backward step adds into its views of it;
-    the shared relative table gathers every layer's contribution, top
-    layer first.
+    The gradients are a ``ModelParams`` of ``params``' layout: ``grads``
+    zeroed in place when given (``train`` lays its buffer out once per
+    run), else one over a new zeroed buffer. Every backward step adds
+    into its views of it; the shared relative table gathers every
+    layer's contribution, top layer first.
     """
     score, cache = forward_batch(ids, mask, params, cfg, rng=rng, keep_cache=True)
     gold = np.asarray(gold, dtype=np.float64)
@@ -622,7 +624,10 @@ def loss_and_grads(
     diff = score - gold
     loss = float(np.mean(diff * diff))
 
-    grads = _params_over(cfg, rows=params.token_embed.shape[0])
+    if grads is None:
+        grads = _params_over(cfg, rows=params.token_embed.shape[0])
+    else:
+        grads.flat.fill(0.0)
 
     dlogit = (2.0 / n_batch) * diff * score * (1.0 - score)
     pooled = cache["pooled"]
@@ -779,6 +784,7 @@ def train(
     va_ids, va_mask, va_gold = _encode_rows(d, val_idx, vocab, cfg)
 
     params = init_params(cfg, rows=len(vocab))
+    grads = _params_over(cfg, rows=len(vocab))
     opt = AdamState(cfg, params)
     rng = np.random.default_rng(cfg.seed)
 
@@ -795,7 +801,7 @@ def train(
         for start in range(0, n_train, cfg.batch_size):
             pick = order[start : start + cfg.batch_size]
             loss, grads, _ = loss_and_grads(
-                tr_ids[pick], tr_mask[pick], tr_gold[pick], params, cfg, rng=rng
+                tr_ids[pick], tr_mask[pick], tr_gold[pick], params, cfg, rng=rng, grads=grads
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"step {len(step_losses)}: loss is {loss!r}")

@@ -8,6 +8,7 @@ checked against the documented contract: 0 success, 1 I/O failure,
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -27,7 +28,7 @@ from phraselab.errors import NonFiniteLoss
 from phraselab.text import SPECIAL_TOKENS, encode, load_vocab
 
 from conftest import write_csv
-from test_model import assert_flat_layout, rewrite_config_block
+from test_model import rewrite_config_block
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_THREAD_VARS = (
@@ -665,8 +666,20 @@ def test_a_worker_raising_non_finite_loss_exits_3_naming_the_fold(tmp_path, caps
     err = capsys.readouterr().err
     assert err == "error: fold 1: step 0: loss is nan\n"
     assert multiprocessing.active_children() == []
-    # folds 0 and 2 trained, but a failed run writes no artifact
-    assert not (tmp_path / "out").exists()
+    # folds 0 and 2 trained and staged their checkpoints, but a failed
+    # run writes no artifact and leaves no staging directory
+    assert [p.name for p in tmp_path.iterdir()] == ["cv.csv"]
+
+
+def test_a_failed_run_leaves_an_existing_out_directory_as_it_was(tmp_path, capsys, monkeypatch):
+    data = crossval_csv(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n", encoding="utf-8")
+    assert crossval_in_workers(data, out, monkeypatch, non_finite_in_fold_1) == 3
+    assert capsys.readouterr().err == "error: fold 1: step 0: loss is nan\n"
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv", "out"]
 
 
 def test_of_two_failing_folds_the_lower_one_is_reported(tmp_path, capsys, monkeypatch):
@@ -679,30 +692,40 @@ def test_of_two_failing_folds_the_lower_one_is_reported(tmp_path, capsys, monkey
 
 def test_a_worker_that_dies_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     data = crossval_csv(tmp_path)
-    assert crossval_in_workers(data, tmp_path / "out", monkeypatch, dies_in_fold_1) == 1
+    # a missing parent is not created either
+    out = tmp_path / "runs" / "out"
+    assert crossval_in_workers(data, out, monkeypatch, dies_in_fold_1) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a worker process exited before returning its results\n"
     assert multiprocessing.active_children() == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cv.csv"]
 
 
-def test_saved_fold_parameters_view_the_buffer_their_worker_sent(tmp_path, monkeypatch):
-    saved = []
-    save = model.save_checkpoint
+def test_the_command_never_rebuilds_a_fold_parameter_set(tmp_path, monkeypatch):
+    """The workers save their folds, so no parameter buffer comes back
+    to be laid out again here."""
+    calls = []
+    lay_out = model._lay_out
 
-    def recording_save(params, cfg, path):
-        saved.append((params, cfg))
-        return save(params, cfg, path)
+    # named as the original, so a pickled parameter set still finds it
+    @functools.wraps(lay_out)
+    def counting_lay_out(*args, **kwargs):
+        calls.append(os.getpid())
+        return lay_out(*args, **kwargs)
 
-    monkeypatch.setattr(model, "save_checkpoint", recording_save)
+    monkeypatch.setattr(model, "_lay_out", counting_lay_out)
     data = crossval_csv(tmp_path)
     out = tmp_path / "out"
     assert crossval_in_workers(data, out, monkeypatch) == 0
     assert multiprocessing.active_children() == []
-    assert [cfg.seed for _, cfg in saved] == [CV_SEED ^ f for f in range(3)]
-    for fold, (params, cfg) in enumerate(saved):
-        rows = len(load_vocab(out / f"fold_{fold}.ckpt.vocab.txt"))
-        assert_flat_layout(params, cfg, rows)
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv", "out"]
+    assert not [p for p in out.iterdir() if p.is_dir()]
+    for fold in range(3):
+        params, cfg = model.load_checkpoint(out / f"fold_{fold}.ckpt")
+        assert cfg.seed == CV_SEED ^ fold
+        assert cfg.vocab_size == len(load_vocab(out / f"fold_{fold}.ckpt.vocab.txt"))
 
 
 # ---------------------------------------------------------------- exit mapping

@@ -449,6 +449,23 @@ def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
     assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
 
 
+def test_loaded_libraries_are_read_once_per_process(monkeypatch):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "open", counting_open, raising=False)
+    ev._openblas_paths.cache_clear()
+    # what one crossval asks before forking, twice over
+    for _ in range(2):
+        ev._fold_workers(3)
+        with ev._one_blas_thread():
+            pass
+    assert opened == ["/proc/self/maps"]
+
+
 def test_worker_count_table_over_faked_cpu_counts(monkeypatch):
     if ev._blas_thread_functions() is None:
         pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")

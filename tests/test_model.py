@@ -139,6 +139,23 @@ def test_parameters_and_gradients_are_views_of_one_buffer():
         assert not np.shares_memory(grads.flat, params.flat)
 
 
+def test_a_gradient_buffer_handed_in_is_zeroed_before_the_step_adds_into_it():
+    """``train`` lays its gradient buffer out once and hands it to every
+    step, so what one step left in it must not reach the next."""
+    cfg = micro_config(layers=2, vocab_size=64)
+    params = M.init_params(cfg, rows=9)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, 9, (2, cfg.max_len))
+    mask, gold = np.ones((2, cfg.max_len)), rng.random(2)
+    loss, fresh, score = M.loss_and_grads(ids, mask, gold, params, cfg)
+    stale = M._params_over(cfg, rows=9)
+    stale.flat.fill(7.0)
+    again, grads, again_score = M.loss_and_grads(ids, mask, gold, params, cfg, grads=stale)
+    assert grads is stale
+    assert again == loss and again_score.tobytes() == score.tobytes()
+    assert grads.flat.tobytes() == fresh.flat.tobytes()
+
+
 def test_shared_relative_table_is_aliased():
     params = M.init_params(micro_config(layers=3))
     for lay in params.layers:
