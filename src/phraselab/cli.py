@@ -9,7 +9,7 @@ manifest recording flags, input/output hashes, and wall-clock time.
 Exit codes: 0 success, 1 I/O failure (or a worker process lost while
 training a fold), 2 validation or configuration failure, 3 numeric
 failure (a non-finite training loss or checkpoint weight, or checkpoint
-weights too large to score with).
+weights too large to score with), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+# the shell's code for a command ended by SIGINT
+EXIT_INTERRUPTED = 130
 
 
 def _write_manifest(args: argparse.Namespace, seed, outputs: set[Path], started: float) -> Path:
@@ -274,6 +276,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

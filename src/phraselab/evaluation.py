@@ -289,12 +289,13 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     With one worker each call runs in this process when its result is
     asked for. Otherwise every call is sent at once to a pool of forked
     worker processes (fork, so workers do not import NumPy again). A
-    fork pool forks all its workers at the first submit, and the
-    submits run under ``_one_blas_thread``, so each worker runs one BLAS
-    thread while this process has its own count back as soon as the
-    calls are sent. When the block ends every worker has exited, with
-    calls not yet started cancelled. A worker that dies ends the block
-    with WorkerLost.
+    fork pool forks all its workers at the first submit, and the whole
+    pool runs under ``_one_blas_thread``, so each worker runs one BLAS
+    thread. This process gets its own count back only once every worker
+    has exited: raising the count starts new OpenBLAS threads here,
+    which would take CPU time from the workers. When the block ends
+    every worker has exited, with calls not yet started cancelled. A
+    worker that dies ends the block with WorkerLost.
     """
     if workers == 1:
         yield calls
@@ -306,14 +307,14 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        try:
             futures = [pool.submit(call) for call in calls]
-        yield [future.result for future in futures]
-    except BrokenProcessPool as exc:
-        raise WorkerLost("a worker process exited before returning its results") from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+            yield [future.result for future in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerLost("a worker process exited before returning its results") from exc
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -421,15 +422,12 @@ def cross_validate(
 def _baseline_fold(data: Dataset, train_idx, val_idx, _cfg) -> FoldOutcome:
     """Fold hook for the lexical baseline: nothing to fit, so its train
     loss is the MSE of its similarities against gold on the training side."""
-    from .lexical import levenshtein_similarity
+    from .lexical import pair_similarity
 
-    def sim(i: int) -> float:
-        rec = data.records[i]
-        return levenshtein_similarity(rec.anchor.lower(), rec.target.lower())
-
-    train_losses = [(sim(i) - data.records[i].score) ** 2 for i in train_idx]
+    records = data.records
+    train_losses = [(pair_similarity(records[i]) - records[i].score) ** 2 for i in train_idx]
     return FoldOutcome(
-        predictions=[sim(i) for i in val_idx],
+        predictions=[pair_similarity(records[i]) for i in val_idx],
         train_loss=cv_estimate_from_losses(train_losses),
     )
 

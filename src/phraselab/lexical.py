@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import reporting
-from .corpus import Dataset
+from .corpus import Dataset, PhraseRecord
 from .errors import EmptyDataset
 from .evaluation import pearson_if_defined
 
@@ -64,6 +64,12 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b), 1)
 
 
+def pair_similarity(rec: PhraseRecord) -> float:
+    """The baseline's score of a record: Levenshtein similarity of its
+    lowercased anchor and target."""
+    return levenshtein_similarity(rec.anchor.lower(), rec.target.lower())
+
+
 @dataclass
 class BaselineReport:
     """Lexical-baseline outcome over one dataset.
@@ -88,7 +94,7 @@ def run_baseline(d: Dataset) -> BaselineReport:
     if len(d) == 0:
         raise EmptyDataset(f"{d.source_path}: baseline needs at least one record")
 
-    sims = [levenshtein_similarity(r.anchor.lower(), r.target.lower()) for r in d]
+    sims = [pair_similarity(r) for r in d]
     corr, error = pearson_if_defined([r.score for r in d], sims)
     return BaselineReport(
         similarities=sims,

@@ -53,10 +53,13 @@ GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
 # rows per forward in bulk scoring. Each block allocates temporaries
-# that grow with the rows, so the tile bounds the working set: 24-64
-# rows scored equally fast, 256 rows slower, and below 24 per-call
-# overhead grows again
-_SCORE_TILE = 48
+# that grow with the rows, so the tile bounds the working set: 512
+# full-length small rows peak at 2.7 MB traced at 16 rows, 3.9 at 24
+# and 7.5 at 48. Interleaved sweeps of predict on 512 benchmark rows
+# (one BLAS thread, 2 shared vCPUs, CPU-time medians of 12 rounds)
+# scored 16 and 24 rows about equally fast, 48 and 64 rows 18-27%
+# slower, and 8 rows 8-14% slower than 16, from per-call overhead
+_SCORE_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,8 @@ def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
         if leaf.endswith("_g"):
             arr.fill(1.0)
         elif not (leaf.endswith("_b") or leaf in ("b1", "b2")):
-            arr[...] = np.clip(rng.normal(0.0, 0.02, drawn), -0.04, 0.04)[: len(arr)]
+            draw = rng.normal(0.0, 0.02, drawn)
+            np.clip(draw[: len(arr)], -0.04, 0.04, out=arr)
     return params
 
 

@@ -7,7 +7,6 @@ the same inputs reproduces its output files byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -129,6 +128,10 @@ def _csv_field(text: str) -> str:
 
 
 def sha256_of(path: Path | str) -> str:
+    # imported here: hashlib loads OpenSSL, which would add ~3.7 MB and
+    # ~3 ms to every ``score``, a command that hashes nothing
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

@@ -749,6 +749,32 @@ def test_os_error_maps_to_exit_1(tiny_csv, tmp_path, capsys, monkeypatch):
     assert "disk on fire" in capsys.readouterr().err
 
 
+def test_ctrl_c_exits_130_with_one_line(tiny_csv, tmp_path, capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_baseline", interrupted)
+    try:
+        code = run_cli("baseline", "--data", tiny_csv, "--out", tmp_path / "out")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    err = capsys.readouterr().err
+    assert code == 130
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL; score, which hashes nothing, should not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, phraselab.cli; print('hashlib' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])

@@ -524,18 +524,40 @@ def test_each_worker_runs_one_blas_thread(monkeypatch):
         assert [outcome.extras["threads"] for outcome in report.outcomes] == [1, 1]
         assert os.getpid() not in {outcome.extras["pid"] for outcome in report.outcomes}
         assert getter() == 2
-        # the count is back once the folds are sent, not only when they
-        # have all returned
+        # the count stays at one while the workers run, and is back once
+        # they have all exited
         call = functools.partial(blas_threads, d, [0, 1], [2, 3], StubConfig())
         with ev._started([call, call], 2) as results:
-            assert getter() == 2
+            assert getter() == 1
             assert [result().extras["threads"] for result in results] == [1, 1]
+        assert getter() == 2
         tasks = [outcome.extras["tasks"] for outcome in report.outcomes]
         if tasks == [None, None]:
             pytest.skip("no /proc/self/task to count a worker's OS threads in")
         assert tasks == [1, 1]
     finally:
         setter(before)
+
+
+def test_the_blas_count_comes_back_only_after_every_worker_has_exited(monkeypatch):
+    # raising the count starts OpenBLAS threads in this process, which
+    # would compete with the workers for the CPUs
+    counts = [3]
+    live_at_restore = []
+
+    def set_threads(n):
+        if n == 3:
+            live_at_restore.append(len(multiprocessing.active_children()))
+        counts.append(n)
+
+    monkeypatch.setattr(ev, "_blas_thread_functions", lambda: (set_threads, lambda: counts[-1]))
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8])
+    call = functools.partial(ev._baseline_fold, d, [0, 1], [2, 3], None)
+    with ev._started([call, call], 2) as results:
+        assert counts[-1] == 1
+        assert [len(result().predictions) for result in results] == [2, 2]
+    assert counts[-1] == 3
+    assert live_at_restore == [0]
 
 
 # ------------------------------------------------------------ baseline folds

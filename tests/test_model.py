@@ -723,7 +723,11 @@ def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
     )
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 47, 48, 49, 150])
+# around the first tile's end and the third's
+@pytest.mark.parametrize(
+    "n_rows",
+    [0, 1, 150] + [tiles * M._SCORE_TILE + extra for tiles in (1, 3) for extra in (-1, 0, 1)],
+)
 def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
     """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
     rows, whatever ``batch_size`` is, and each score comes back at its
@@ -764,7 +768,8 @@ def test_predict_working_set_is_one_tile_not_all_rows():
     """512 full-length small-preset rows asked for as one batch of 512:
     the traced peak stays below the FFN arrays two blocks of the training
     cache would hold for one tile (the bound the batch-256 forward test
-    sets per batch), so the peak does not grow with the number of rows."""
+    sets per batch), so the peak does not grow with the number of rows,
+    and below 4 MB, which a 48-row tile (7.5 MB) exceeds."""
     cfg = replace(M.presets("small"), batch_size=512)
     d = mixed_length_dataset(512, words=(6, 6))
     vocab = build_vocab(d)
@@ -779,6 +784,7 @@ def test_predict_working_set_is_one_tile_not_all_rows():
         tracemalloc.stop()
     assert scores.shape == (len(d),)
     assert peak < 2 * tile_ffn_bytes
+    assert peak < 4_000_000
 
 
 def huge_token_table_checkpoint(path):
