@@ -21,7 +21,7 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import corpus, evaluation, lexical, model, reporting
@@ -179,22 +179,12 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     payload = {
         "cv_estimate": report.cv_estimate,
         "mean_pearson": report.mean_pearson,
-        "folds": [
-            {
-                "fold": f.fold,
-                "n_val": f.n_val,
-                "training_loss": f.train_loss,
-                "validation_loss": f.validation_loss,
-                "pearson": f.pearson,
-                "pearson_error": f.pearson_error,
-            }
-            for f in report.folds
-        ],
+        "folds": [asdict(f) for f in report.folds],
         "k": plan.k,
         "n_bins": args.bins,
         "seed": cfg.seed,
         "training_loss_definition": "final_epoch_mean",
-        "config": reporting.exact_reals(model.config_dict(cfg)),
+        "config": reporting.exact_reals(asdict(cfg)),
     }
     written.add(reporting.write_json(out_dir / "cv_report.json", payload))
     _write_manifest(args, cfg.seed, written, started)

@@ -40,14 +40,13 @@ from .errors import (
     ZeroVariance,
 )
 
-# OpenBLAS's thread-count setters and getters, under the names its
-# builds export
+# OpenBLAS's thread-count setters, under the names its builds export;
+# each getter is named with ``_get_`` in place of ``_set_``
 _OPENBLAS_SETTERS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
     "scipy_openblas_set_num_threads64_",
 )
-_OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _OPENBLAS_SETTERS)
 
 
 def pearson(y: Sequence[float], yhat: Sequence[float]) -> float:
@@ -170,7 +169,7 @@ TrainFn = Callable[[Dataset, Sequence[int], Sequence[int], object], FoldOutcome]
 class FoldMetrics:
     fold: int
     n_val: int
-    train_loss: float
+    training_loss: float
     validation_loss: float
     pearson: Optional[float]
     pearson_error: Optional[str]
@@ -199,66 +198,31 @@ def fold_config(cfg: object, fold: int) -> object:
 
 
 @functools.cache
-def _openblas_paths() -> tuple[str, ...]:
-    """Paths of the loaded OpenBLAS libraries, read from
-    ``/proc/self/maps`` once per process (NumPy's is loaded with this
-    module, and forked workers map the same libraries); none where that
-    file is missing."""
+def _blas_thread_functions():
+    """The thread-count setter and getter of one loaded OpenBLAS, under
+    one name family, as ctypes functions with their signatures declared,
+    or None when no loaded library exports both. ``/proc/self/maps`` is
+    read once per process (NumPy's OpenBLAS is loaded with this module,
+    and forked workers map the same libraries); None where it is
+    missing."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             entries = [line.rstrip("\n").split(maxsplit=5) for line in maps]
     except OSError:
-        return ()
-    return tuple(sorted({e[5] for e in entries if len(e) == 6 and "openblas" in e[5].lower()}))
-
-
-def _openblas_function(names: Sequence[str]):
-    """The first of ``names`` that a loaded OpenBLAS exports, as a
-    ctypes function, or None."""
-    for path in _openblas_paths():
+        return None
+    for path in sorted({e[5] for e in entries if len(e) == 6 and "openblas" in e[5].lower()}):
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:
             continue
-        for name in names:
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                return fn
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
     return None
-
-
-def _blas_thread_functions():
-    """The loaded OpenBLAS's thread-count setter and getter, as ctypes
-    functions with their signatures declared, or None when either is
-    missing."""
-    setter = _openblas_function(_OPENBLAS_SETTERS)
-    getter = _openblas_function(_OPENBLAS_GETTERS)
-    if setter is None or getter is None:
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return setter, getter
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """This process's OpenBLAS runs on one thread inside the block and
-    gets its own count back when the block ends; a no-op where the
-    count cannot be set and read. Processes forked inside the block run
-    one BLAS thread each: a forked OpenBLAS restarts its thread pool at
-    the parent's count at fork time, and setting the count in the child
-    afterwards does not shrink that pool."""
-    functions = _blas_thread_functions()
-    if functions is None:
-        yield
-        return
-    set_threads, get_threads = functions
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def _fold_workers(k: int) -> int:
@@ -288,11 +252,14 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
 
     With one worker each call runs in this process when its result is
     asked for. Otherwise every call is sent at once to a pool of forked
-    worker processes (fork, so workers do not import NumPy again). A
-    fork pool forks all its workers at the first submit, and the whole
-    pool runs under ``_one_blas_thread``, so each worker runs one BLAS
-    thread. This process gets its own count back only once every worker
-    has exited: raising the count starts new OpenBLAS threads here,
+    worker processes (fork, so workers do not import NumPy again). This
+    process's OpenBLAS runs on one thread from before the pool starts,
+    so each worker runs one BLAS thread: a fork pool forks all its
+    workers at the first submit, and a forked OpenBLAS restarts its
+    thread pool at the parent's count at fork time (setting the count
+    in the child afterwards does not shrink that pool). This process
+    gets its own count back only once every worker has exited, however
+    the block ends: raising the count starts new OpenBLAS threads here,
     which would take CPU time from the workers. When the block ends
     every worker has exited, with calls not yet started cancelled. A
     worker that dies ends the block with WorkerLost.
@@ -306,8 +273,13 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    with _one_blas_thread():
+    blas = _blas_thread_functions()
+    if blas is not None:
+        set_threads, get_threads = blas
+        threads = get_threads()
+        set_threads(1)
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             futures = [pool.submit(call) for call in calls]
             yield [future.result for future in futures]
@@ -315,6 +287,9 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
             raise WorkerLost("a worker process exited before returning its results") from exc
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        if blas is not None:
+            set_threads(threads)
 
 
 def cross_validate(
@@ -400,7 +375,7 @@ def cross_validate(
                 FoldMetrics(
                     fold=f,
                     n_val=len(val_idx),
-                    train_loss=float(outcome.train_loss),
+                    training_loss=float(outcome.train_loss),
                     validation_loss=cv_estimate_from_losses(losses),
                     pearson=corr,
                     pearson_error=corr_err,

@@ -23,7 +23,6 @@ import math
 import numbers
 import os
 import struct
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -175,7 +174,6 @@ class TrainTrace:
     step_losses: list[float]
     val_losses: list[float]
     val_pearsons: list[Optional[float]]
-    epoch_seconds: list[float]
     steps_per_epoch: int
     # held-out scores of the final parameters, in validation-index order
     val_predictions: np.ndarray
@@ -797,10 +795,8 @@ def train(
     step_losses: list[float] = []
     val_losses: list[float] = []
     val_pearsons: list[Optional[float]] = []
-    epoch_seconds: list[float] = []
 
     for _epoch in range(cfg.epochs):
-        started = time.perf_counter()
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             pick = order[start : start + cfg.batch_size]
@@ -818,13 +814,11 @@ def train(
         errs = (preds - va_gold) ** 2
         val_losses.append(math.fsum(errs.tolist()) / len(errs))
         val_pearsons.append(pearson_if_defined(va_gold, preds)[0])
-        epoch_seconds.append(time.perf_counter() - started)
 
     trace = TrainTrace(
         step_losses=step_losses,
         val_losses=val_losses,
         val_pearsons=val_pearsons,
-        epoch_seconds=epoch_seconds,
         steps_per_epoch=steps_per_epoch,
         val_predictions=preds,
     )
@@ -892,10 +886,6 @@ def presets(name: str) -> ModelConfig:
     )
 
 
-def config_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
 def _config_from_dict(data: dict) -> ModelConfig:
     attn = dict(data["attention"])
     # older checkpoints name the one scale rule the attention has
@@ -917,7 +907,7 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path: str | Path) -> 
     """
     path = Path(path)
     cfg = replace(cfg, vocab_size=params.token_embed.shape[0])
-    blob = json.dumps(config_dict(cfg), sort_keys=True).encode("utf-8")
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:

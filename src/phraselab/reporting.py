@@ -84,15 +84,11 @@ def _render_json(obj: object, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def json_dumps(obj: object) -> str:
-    """Serialize with sorted keys and six-decimal reals."""
+def write_json(path: Path | str, obj: object) -> Path:
+    """Write ``obj`` as JSON with sorted keys and six-decimal reals."""
     out: list[str] = []
     _render_json(obj, out)
-    return "".join(out)
-
-
-def write_json(path: Path | str, obj: object) -> Path:
-    return write_text(path, json_dumps(obj) + "\n")
+    return write_text(path, "".join(out) + "\n")
 
 
 def write_text(path: Path | str, text: str) -> Path:

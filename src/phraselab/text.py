@@ -45,11 +45,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_for(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.id_to_token):
-            raise ValidationError(f"token id {token_id} outside vocabulary")
-        return self.id_to_token[token_id]
-
 
 @dataclass(frozen=True)
 class TokenSequence:

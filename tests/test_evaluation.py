@@ -1,4 +1,6 @@
+import ctypes
 import functools
+import io
 import math
 import multiprocessing
 import os
@@ -6,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,13 +437,41 @@ def test_folds_train_in_worker_processes_and_come_back_in_fold_order(monkeypatch
     assert multiprocessing.active_children() == []
 
 
-def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
-    real = ev._openblas_function
+@pytest.fixture
+def fresh_blas_lookup():
+    """The BLAS lookup's cache emptied before and after the test, so a
+    faked lookup neither sees nor leaves a cached result."""
+    ev._blas_thread_functions.cache_clear()
+    yield
+    ev._blas_thread_functions.cache_clear()
+
+
+def fake_libraries(monkeypatch, exports):
+    """Fake ``/proc/self/maps`` and ``ctypes.CDLL`` so that each path in
+    ``exports`` is a loaded OpenBLAS exporting the named functions."""
+    maps = "".join(f"7f00-7f01 r-xp 00000000 08:01 {i} {path}\n" for i, path in enumerate(exports))
+
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(ev, "open", fake_open, raising=False)
+    monkeypatch.setattr(
+        ev.ctypes, "CDLL", lambda path, mode=0: SimpleNamespace(**exports[path])
+    )
+
+
+def exported():
+    """A stand-in for one exported C function."""
+    return lambda *args: None
+
+
+def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch, fresh_blas_lookup):
     # no setter, then a setter but no getter to restore the count with
-    for missing in (ev._OPENBLAS_SETTERS, ev._OPENBLAS_GETTERS):
-        monkeypatch.setattr(
-            ev, "_openblas_function", lambda names: None if names == missing else real(names)
-        )
+    for names in ({}, {"openblas_set_num_threads": exported()}):
+        ev._blas_thread_functions.cache_clear()
+        fake_libraries(monkeypatch, {"/lib/libopenblas.so": names})
+        assert ev._blas_thread_functions() is None
         assert ev._fold_workers(3) == 1
     d = scored_dataset([0.1, 0.9, 0.2, 0.8, 0.3, 0.7])
     plan = stratified_kfold(d, k=3, n_bins=1, seed=0)
@@ -449,7 +480,25 @@ def test_without_a_blas_thread_setter_folds_train_in_this_process(monkeypatch):
     assert [outcome.extras["pid"] for outcome in report.outcomes] == [os.getpid()] * 3
 
 
-def test_loaded_libraries_are_read_once_per_process(monkeypatch):
+def test_setter_and_getter_come_from_one_library(monkeypatch, fresh_blas_lookup):
+    # library A, listed first, exports a setter alone; its count could
+    # not be read back, so both functions must come from library B
+    b_set, b_get = exported(), exported()
+    fake_libraries(
+        monkeypatch,
+        {
+            "/lib/a/libopenblas.so": {"openblas_set_num_threads": exported()},
+            "/lib/b/libopenblas.so": {
+                "openblas_set_num_threads64_": b_set,
+                "openblas_get_num_threads64_": b_get,
+            },
+        },
+    )
+    assert ev._blas_thread_functions() == (b_set, b_get)
+    assert (b_set.argtypes, b_get.restype) == ([ctypes.c_int], ctypes.c_int)
+
+
+def test_loaded_libraries_are_read_once_per_process(monkeypatch, fresh_blas_lookup):
     opened = []
 
     def counting_open(path, *args, **kwargs):
@@ -457,12 +506,13 @@ def test_loaded_libraries_are_read_once_per_process(monkeypatch):
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(ev, "open", counting_open, raising=False)
-    ev._openblas_paths.cache_clear()
-    # what one crossval asks before forking, twice over
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8])
+    call = functools.partial(ev._baseline_fold, d, [0, 1], [2, 3], None)
+    # what one crossval asks before and while its pool runs, twice over
     for _ in range(2):
         ev._fold_workers(3)
-        with ev._one_blas_thread():
-            pass
+        with ev._started([call, call], 2) as results:
+            [result() for result in results]
     assert opened == ["/proc/self/maps"]
 
 
@@ -560,6 +610,25 @@ def test_the_blas_count_comes_back_only_after_every_worker_has_exited(monkeypatc
     assert live_at_restore == [0]
 
 
+def test_the_blas_count_comes_back_when_a_submit_raises(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    counts = [3]
+    monkeypatch.setattr(ev, "_blas_thread_functions", lambda: (counts.append, lambda: counts[-1]))
+
+    def failing_submit(self, fn, *args, **kwargs):
+        raise RuntimeError("submit failed")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", failing_submit)
+    d = scored_dataset([0.1, 0.9, 0.2, 0.8])
+    call = functools.partial(ev._baseline_fold, d, [0, 1], [2, 3], None)
+    with pytest.raises(RuntimeError, match="submit failed"):
+        with ev._started([call, call], 2):
+            pass
+    assert counts == [3, 1, 3]
+    assert multiprocessing.active_children() == []
+
+
 # ------------------------------------------------------------ baseline folds
 
 def test_baseline_folds_train_in_this_process(monkeypatch):
@@ -607,7 +676,7 @@ def test_baseline_cv_identical_fold_contents_give_identical_metrics():
     report = evaluate_baseline_cv(d, plan)
     f0, f1 = report.folds
     assert f0.validation_loss == f1.validation_loss
-    assert f0.train_loss == f1.train_loss
+    assert f0.training_loss == f1.training_loss
     assert f0.pearson == f1.pearson
 
 
