@@ -76,6 +76,13 @@ class AttentionParams:
 
     ``rel_embed`` (2k x d_model) is the shared relative-position table;
     in a multi-layer model every layer aliases the same array.
+
+    ``qkv`` is not a field: a model whose ``wq_c``, ``wk_c`` and ``wv``
+    lie back to back in one buffer sets it to the (3, d_model, d_model)
+    view of that stretch, whose slices are those three arrays, so one
+    product projects all three. While it is None each forward stacks
+    them afresh. Copies and pickles leave it behind, since their arrays
+    no longer share one buffer.
     """
 
     wq_c: np.ndarray
@@ -86,29 +93,43 @@ class AttentionParams:
     rel_embed: np.ndarray
     wo: np.ndarray
 
+    qkv = None
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "qkv"}
+
 
 @dataclass(frozen=True)
 class RelativeTerms:
     """The part of one module's scores that only the weights decide.
 
-    ``qr`` and ``kr`` (H, 2k, dh) are the relative table projected by
-    ``wq_r`` and ``wk_r`` and split into heads. ``p2p`` (H, L, L) is
-    the position-to-position term gathered per (query, key) pair up to
-    some length L, and None without that term. ``denom`` is the score
-    scale. Weights that stay fixed (a loaded checkpoint) get them built
-    once by ``relative_terms``; training builds them once per step.
-    The arrays are made read-only.
+    ``rel`` (2, 1, H, dh, 2k) stacks ``kr`` and ``qr`` transposed, so
+    one product of the stacked query and key contents gives both bucket
+    fields; ``qr`` and ``kr`` (H, 2k, dh), the relative table projected
+    by ``wq_r`` and ``wk_r`` and split into heads, are views of it.
+    ``p2p`` (H, L, L) is the position-to-position term gathered per
+    (query, key) pair up to some length L, and None without that term.
+    ``denom`` is the score scale. Weights that stay fixed (a loaded
+    checkpoint) get them built once by ``relative_terms``; training
+    builds them once per step. The arrays are made read-only.
     """
 
-    qr: np.ndarray
-    kr: np.ndarray
+    rel: np.ndarray
     p2p: Optional[np.ndarray]
     denom: float
 
     def __post_init__(self) -> None:
-        for arr in (self.qr, self.kr, self.p2p):
+        for arr in (self.rel, self.p2p):
             if arr is not None:
                 arr.flags.writeable = False
+
+    @property
+    def kr(self) -> np.ndarray:
+        return self.rel[0, 0].swapaxes(-1, -2)
+
+    @property
+    def qr(self) -> np.ndarray:
+        return self.rel[1, 0].swapaxes(-1, -2)
 
 
 @dataclass
@@ -204,8 +225,17 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     # batch 1
     if not keep.any(axis=-1).all():
         raise AllMasked("attention mask hides every key position")
-    weights = np.where(keep[..., None, :], scores, -np.inf)
-    weights -= weights.max(axis=-1, keepdims=True)
+    return _softmax(scores, keep)
+
+
+def _softmax(scores: np.ndarray, keep: Optional[np.ndarray]) -> np.ndarray:
+    """``masked_softmax`` of a mask already checked: ``keep`` is bool,
+    or None when no key is masked. ``scores`` is left as it is."""
+    if keep is None:
+        weights = scores - scores.max(axis=-1, keepdims=True)
+    else:
+        weights = np.where(keep[..., None, :], scores, -np.inf)
+        weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights
@@ -251,7 +281,8 @@ def relative_terms(params: AttentionParams, cfg: AttentionConfig, length: int) -
         pair_flat = _bucket_tables(length, cfg.max_rel_distance)[3]
         pp = qr @ kr.swapaxes(-1, -2)  # (H, 2k, 2k)
         p2p = pp.reshape(n_heads, -1)[:, pair_flat].reshape(n_heads, length, length)
-    return RelativeTerms(qr=qr, kr=kr, p2p=p2p, denom=scale_denominator(params, cfg))
+    rel = np.stack((kr.swapaxes(-1, -2), qr.swapaxes(-1, -2)))[:, None]
+    return RelativeTerms(rel=rel, p2p=p2p, denom=scale_denominator(params, cfg))
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -262,9 +293,8 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., H, L, dh) -> (..., L, H*dh); inverse of _split_heads."""
-    moved = x.swapaxes(-3, -2)
-    *lead, length, n_heads, dh = moved.shape
-    return np.ascontiguousarray(moved).reshape(*lead, length, n_heads * dh)
+    *lead, n_heads, length, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, length, n_heads * dh)
 
 
 def _validate_batched(h: np.ndarray, params: AttentionParams, cfg: AttentionConfig, mask: np.ndarray):
@@ -300,35 +330,42 @@ def forward_batched(
     projections and probabilities as soon as the call returns.
     """
     h = np.asarray(h, dtype=np.float64)
-    mask = np.asarray(mask)
-    _validate_batched(h, params, cfg, mask)
+    keep = np.asarray(mask, dtype=bool)
+    _validate_batched(h, params, cfg, keep)
+    n_batch, length = h.shape[:2]
     n_heads = cfg.n_heads
-    length = h.shape[1]
     if terms is None:
         terms = relative_terms(params, cfg, length)
     elif cfg.include_p2p and (terms.p2p is None or terms.p2p.shape[-1] < length):
         raise ShapeMismatch(f"prepared relative terms do not cover sequence length {length}")
+    # count_nonzero is a plain C call, where all() sets up a reduction
+    if np.count_nonzero(keep) == keep.size and length:
+        keep = None  # no key masked: the softmax needs no mask
+    elif not keep.any(axis=-1).all():
+        raise AllMasked("attention mask hides every key position")
 
-    qc = _split_heads(h @ params.wq_c, n_heads)  # (B, H, L, dh)
-    kc = _split_heads(h @ params.wk_c, n_heads)
-    v = _split_heads(h @ params.wv, n_heads)
+    # one product for the three projections, still one (L, d) block per
+    # row and weight: the blocks keep the shape, so the bits, of
+    # separate products (a one-row block takes NumPy's vector path)
+    w3 = params.qkv if params.qkv is not None else np.stack((params.wq_c, params.wk_c, params.wv))
+    qkv = (h @ w3[:, None]).reshape(3, n_batch, length, n_heads, -1).swapaxes(-2, -3)
+    qc, kc, v = qkv[0], qkv[1], qkv[2]  # each (B, H, L, dh)
 
     q_take, k_take, _, _ = _bucket_tables(length, cfg.max_rel_distance)
-    lead = qc.shape[:2]
 
-    # each bilinear term is computed in bucket space with one batched
-    # matmul and then gathered per (query, key) pair
+    # each bilinear term is computed in bucket space and then gathered
+    # per (query, key) pair; one product gives both bucket fields, the
+    # first query indexed, the second key indexed
     raw = qc @ kc.swapaxes(-1, -2)
-    q_buckets = qc @ terms.kr.swapaxes(-1, -2)[None]  # (B, H, L, 2k)
-    raw += q_buckets.reshape(*lead, -1).take(q_take, axis=-1)
-    k_buckets = kc @ terms.qr.swapaxes(-1, -2)[None]  # (B, H, L, 2k), key indexed
-    raw += k_buckets.reshape(*lead, -1).take(k_take, axis=-1)
+    buckets = (qkv[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
+    raw += buckets[0].take(q_take, axis=-1)
+    raw += buckets[1].take(k_take, axis=-1)
     if cfg.include_p2p:
-        raw += terms.p2p[None, :, :length, :length]
+        raw += terms.p2p[:, :length, :length]
 
     raw /= terms.denom
 
-    probs = masked_softmax(raw, mask[:, None, :])
+    probs = _softmax(raw, None if keep is None else keep[:, None, :])
     used = probs if prob_dropout is None else probs * prob_dropout
     merged = _merge_heads(used @ v)
     out = merged @ params.wo

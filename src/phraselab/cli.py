@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -40,6 +41,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 # the shell's code for a command ended by SIGINT
 EXIT_INTERRUPTED = 130
+
+# the per-fold files crossval writes into --out; group 1 or 2 is the fold
+_FOLD_FILE = re.compile(
+    r"fold_(0|[1-9][0-9]*)\.ckpt(?:\.vocab\.txt)?|(?:loss|pearson)_curve_fold_(0|[1-9][0-9]*)\.csv"
+)
 
 
 def _write_manifest(args: argparse.Namespace, seed, outputs: set[Path], started: float) -> Path:
@@ -146,6 +152,16 @@ def _fold_artifacts(out_dir: Path, fold: int, outcome) -> set[Path]:
     return written
 
 
+def _remove_stale_folds(out_dir: Path, k: int) -> None:
+    """Remove the per-fold files of folds ``k`` and up from ``out_dir``:
+    an earlier run with a larger ``--k`` left them, and they belong to
+    no report now that folds ``0 .. k-1`` have been replaced."""
+    for entry in out_dir.iterdir():
+        match = _FOLD_FILE.fullmatch(entry.name)
+        if match and int(match.group(1) or match.group(2)) >= k and entry.is_file():
+            entry.unlink()
+
+
 def cmd_crossval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     out_dir = Path(args.out)
@@ -173,6 +189,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         written: set[Path] = set()
         for fold, outcome in enumerate(report.outcomes):
             written |= _fold_artifacts(out_dir, fold, outcome)
+        _remove_stale_folds(out_dir, plan.k)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

@@ -23,6 +23,7 @@ import functools
 import math
 import os
 import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -47,6 +48,8 @@ _OPENBLAS_SETTERS = (
     "openblas_set_num_threads64_",
     "scipy_openblas_set_num_threads64_",
 )
+# prctl(2) option: the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
 
 
 def pearson(y: Sequence[float], yhat: Sequence[float]) -> float:
@@ -244,6 +247,22 @@ def _fold_workers(k: int) -> int:
     return next((w for w in range(least, min(k, 2 * least - 1) + 1) if k % w == 0), least)
 
 
+def _die_with(command_pid: int) -> None:
+    """Initializer of a fold worker: have the kernel send it SIGTERM when
+    the command that forked it dies, and exit at once if the command
+    (``command_pid``) is already gone. A worker idling in the pool's
+    call queue would otherwise wait forever, since its siblings hold
+    the queue open. Never raises; a no-op where ``prctl`` is missing."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError, TypeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0) == 0 and os.getppid() != command_pid:
+        os._exit(1)
+
+
 @contextlib.contextmanager
 def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     """Start ``calls`` on ``workers`` processes; yields, in their order,
@@ -262,7 +281,9 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     the block ends: raising the count starts new OpenBLAS threads here,
     which would take CPU time from the workers. When the block ends
     every worker has exited, with calls not yet started cancelled. A
-    worker that dies ends the block with WorkerLost.
+    worker that dies ends the block with WorkerLost. The workers die
+    with this process (``_die_with``), even when it is killed; they are
+    forked by the calling thread, which waits here for them.
     """
     if workers == 1:
         yield calls
@@ -279,7 +300,12 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
         threads = get_threads()
         set_threads(1)
     try:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_die_with,
+            initargs=(os.getpid(),),
+        )
         try:
             futures = [pool.submit(call) for call in calls]
             yield [future.result for future in futures]

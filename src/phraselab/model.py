@@ -249,20 +249,24 @@ def _lay_out(
     sizes = [math.prod(shape) for shape in shapes.values()]
     if flat is None:
         flat = np.zeros(sum(sizes))
+    starts = dict(zip(shapes, itertools.accumulate(sizes, initial=0)))
     views = {
-        name: flat[end - size : end].reshape(shape)
-        for (name, shape), size, end in zip(shapes.items(), sizes, itertools.accumulate(sizes))
+        name: flat[start : start + size].reshape(shape)
+        for (name, start), size, shape in zip(starts.items(), sizes, shapes.values())
     }
-    layers = [
-        LayerParams(
-            attn=AttentionParams(
-                rel_embed=views["rel_embed"],
-                **{w: views[f"layers.{i}.attn.{w}"] for w in _ATTN_WEIGHTS},
-            ),
-            **{name: views[f"layers.{i}.{name}"] for name in _LAYER_ARRAYS},
+    layers = []
+    for i in range(depth):
+        attn = AttentionParams(
+            rel_embed=views["rel_embed"],
+            **{w: views[f"layers.{i}.attn.{w}"] for w in _ATTN_WEIGHTS},
         )
-        for i in range(depth)
-    ]
+        # wq_c, wk_c and wv come first in _ATTN_WEIGHTS, so they lie back
+        # to back and one view spans them
+        start = starts[f"layers.{i}.attn.wq_c"]
+        attn.qkv = flat[start : start + 3 * attn.wq_c.size].reshape(3, *attn.wq_c.shape)
+        layers.append(
+            LayerParams(attn=attn, **{name: views[f"layers.{i}.{name}"] for name in _LAYER_ARRAYS})
+        )
     top = {name: view for name, view in views.items() if not name.startswith("layers.")}
     return ModelParams(layers=layers, flat=flat, views=views, **top)
 
@@ -325,16 +329,28 @@ def _gelu_grad_from(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+def _layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, keep_cache: bool = True):
+    """(y, (xn, inv, g)), the cache for ``_layer_norm_backward``; without
+    ``keep_cache`` the gain and bias go onto ``xn`` in place and the cache
+    is None."""
     # np.mean is add.reduce over the axis divided by its length; calling
     # that directly skips the Python wrapper, with the same bits
     width = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / width
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= width
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / width
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xn = xc * inv
-    return xn * g + b, (xn, inv, g)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= width
+    var += LN_EPS
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xn = np.multiply(xc, inv, out=xc)
+    if not keep_cache:
+        xn *= g
+        xn += b
+        return xn, None
+    y = xn * g
+    y += b
+    return y, (xn, inv, g)
 
 
 def _layer_norm_backward(dy: np.ndarray, cache, dg: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -417,7 +433,7 @@ def _block_forward(
     Everything not returned is freed on return.
     """
     n_batch, length = layout.n_batch, layout.length
-    n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b)
+    n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b, keep_cache)
     prob_drop = None
     if drop_rng is not None:
         keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
@@ -427,8 +443,9 @@ def _block_forward(
     attn_out, _, attn_cache = attn_mod.forward_batched(
         layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms
     )
-    xb = x + layout.gather(attn_out)
-    n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b)
+    xb = layout.gather(attn_out)
+    xb += x
+    n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b, keep_cache)
     pre = n2 @ lay.w1
     pre += lay.b1
     act, gelu_t = _gelu_parts(pre, keep_cache)
@@ -438,7 +455,9 @@ def _block_forward(
         keep = drop_rng.random((n_batch, cfg.max_len, cfg.ffn_dim)) >= cfg.dropout_rate
         ffn_drop = layout.gather(keep[:, :length]) * keep_scale
         used = act * ffn_drop
-    x = xb + used @ lay.w2 + lay.b2
+    x = used @ lay.w2
+    x += xb
+    x += lay.b2
     if not keep_cache:
         return x, None
     return x, {
@@ -533,8 +552,9 @@ def forward_batch(
             bad = lo if lo < 0 else hi
             raise ShapeMismatch(f"token id {bad} outside the embedding table's rows [0, {rows})")
     width = _real_width(mask)
-    ids, mask = ids[:, :width], mask[:, :width]
-    layout = _TokenLayout(ids.shape[0], width, _packed_positions(mask))
+    # the key mask every block's attention reads, made once
+    ids, keys = ids[:, :width], mask[:, :width] != 0
+    layout = _TokenLayout(ids.shape[0], width, _packed_positions(keys))
     ids = layout.gather(ids)
 
     terms = params.relative
@@ -548,7 +568,7 @@ def forward_batch(
     for li, lay in enumerate(params.layers):
         if li == inject_at:
             x = x + params.abs_pos_embed[layout.columns]
-        x, block_cache = _block_forward(x, lay, terms[li], cfg, layout, mask, drop_rng, keep_cache)
+        x, block_cache = _block_forward(x, lay, terms[li], cfg, layout, keys, drop_rng, keep_cache)
         blocks.append(block_cache)
 
     cls = x[layout.cls_rows]

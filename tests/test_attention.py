@@ -412,6 +412,112 @@ def test_cache_is_built_only_on_request():
     assert cache_c.probs.shape == (2, cfg.n_heads, 5, 5)
 
 
+# ------------------------------------------- the forward as first written
+
+def reference_forward(h, params, cfg, mask, prob_dropout=None):
+    """The batched forward as first written, with the same roundings:
+    three projections, the two bucket products one at a time, and the
+    softmax through ``np.where``. Returns (out, raw, arrays), where
+    ``arrays`` holds what the cache keeps."""
+    n_batch, length, d = h.shape
+    n_heads, dh, k = cfg.n_heads, cfg.d_head, cfg.max_rel_distance
+
+    def split(x):
+        return x.reshape(*x.shape[:-1], n_heads, dh).swapaxes(-2, -3)
+
+    qc, kc, v = (split(h @ w) for w in (params.wq_c, params.wk_c, params.wv))
+    qr = split(params.rel_embed @ params.wq_r)  # (H, 2k, dh)
+    kr = split(params.rel_embed @ params.wk_r)
+    b1 = bucket_matrix(length, k)  # query relative to key
+    raw = qc @ kc.swapaxes(-1, -2)
+    q_buckets = qc @ kr.swapaxes(-1, -2)[None]
+    raw += np.take_along_axis(q_buckets, np.broadcast_to(b1, q_buckets.shape[:-1] + (length,)), -1)
+    k_buckets = kc @ qr.swapaxes(-1, -2)[None]  # key indexed
+    raw += np.take_along_axis(
+        k_buckets, np.broadcast_to(b1, k_buckets.shape[:-1] + (length,)), -1
+    ).swapaxes(-1, -2)
+    p2p = None
+    if cfg.include_p2p:
+        p2p = (qr @ kr.swapaxes(-1, -2))[:, b1, b1.T]
+        raw += p2p[None]
+    raw /= scale_denominator(params, cfg)
+
+    keep = np.asarray(mask, dtype=bool)
+    probs = np.where(keep[:, None, None, :], raw, -np.inf)
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    used = probs if prob_dropout is None else probs * prob_dropout
+    merged = np.ascontiguousarray((used @ v).swapaxes(1, 2)).reshape(n_batch, length, d)
+    arrays = dict(h=h, qc=qc, kc=kc, v=v, probs=probs, used=used, merged=merged, qr=qr, kr=kr, p2p=p2p)
+    return merged @ params.wo, raw, arrays
+
+
+def laid_out_back_to_back(params):
+    """``params`` with wq_c, wk_c and wv moved into one buffer and
+    ``qkv`` viewing it, as a model lays them out."""
+    stacked = np.stack((params.wq_c, params.wk_c, params.wv))
+    params.wq_c, params.wk_c, params.wv = stacked
+    params.qkv = stacked
+    return params
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_batch=st.integers(1, 5),
+    length=st.integers(1, 8),
+    include_p2p=st.booleans(),
+    with_dropout=st.booleans(),
+    laid_out=st.booleans(),
+    all_real=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_forward_is_bit_identical_to_the_forward_as_first_written(
+    n_batch, length, include_p2p, with_dropout, laid_out, all_real, seed
+):
+    """Output, raw scores and every cached array, bit for bit, with
+    masks that hide keys anywhere in a row (one key kept at least) and
+    with every key real."""
+    cfg = small_config(include_p2p=include_p2p)
+    params = random_params(cfg, seed % 1000)
+    if laid_out:
+        params = laid_out_back_to_back(params)
+    rng = np.random.default_rng(seed)
+    h = rng.normal(0, 1, (n_batch, length, cfg.d_model))
+    mask = np.ones((n_batch, length))
+    if not all_real:
+        mask = (rng.random((n_batch, length)) < 0.6).astype(np.float64)
+        mask[np.arange(n_batch), rng.integers(0, length, n_batch)] = 1.0
+    drop = None
+    if with_dropout:
+        drop = (rng.random((n_batch, cfg.n_heads, length, length)) >= 0.2) / 0.8
+
+    out, raw, cache = forward_batched(h, params, cfg, mask, drop, keep_cache=True)
+    want_out, want_raw, want = reference_forward(h, params, cfg, mask, drop)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(raw, want_raw)
+    for name in ("h", "qc", "kc", "v", "probs", "used", "merged"):
+        assert np.array_equal(getattr(cache, name), want[name]), name
+    assert cache.drop is drop
+    assert np.array_equal(cache.terms.qr, want["qr"]) and np.array_equal(cache.terms.kr, want["kr"])
+    if include_p2p:
+        assert np.array_equal(cache.terms.p2p, want["p2p"])
+    else:
+        assert cache.terms.p2p is None
+
+
+def test_a_softmax_with_no_masked_key_leaves_the_returned_scores_alone():
+    cfg = small_config()
+    params = laid_out_back_to_back(random_params(cfg, 70))
+    h = np.random.default_rng(71).normal(0, 1, (2, 5, cfg.d_model))
+    mask = np.ones((2, 5))
+    out, raw, cache = forward_batched(h, params, cfg, mask, keep_cache=True)
+    _, want_raw, want = reference_forward(h, params, cfg, mask)
+    assert np.array_equal(raw, want_raw)
+    assert not np.shares_memory(raw, cache.probs)
+    assert np.array_equal(cache.probs, want["probs"])
+
+
 # ------------------------------------------------- prepared relative terms
 
 PREPARED_MAX_LEN = 9  # past 2k = 6, so the clamped buckets are in the field

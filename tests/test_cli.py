@@ -8,11 +8,13 @@ checked against the documented contract: 0 success, 1 I/O failure,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -726,6 +728,101 @@ def test_the_command_never_rebuilds_a_fold_parameter_set(tmp_path, monkeypatch):
         params, cfg = model.load_checkpoint(out / f"fold_{fold}.ckpt")
         assert cfg.seed == CV_SEED ^ fold
         assert cfg.vocab_size == len(load_vocab(out / f"fold_{fold}.ckpt.vocab.txt"))
+
+
+def test_a_rerun_with_fewer_folds_removes_the_stale_fold_files(tmp_path):
+    data = crossval_csv(tmp_path)
+    out = tmp_path / "out"
+    for k in (3, 2):
+        assert run_cli(
+            "crossval", "--data", data, "--out", out, "--preset", "xsmall",
+            "--k", k, "--bins", "2", "--seed", CV_SEED, "--epochs", "1",
+        ) == 0
+        if k == 3:
+            assert (out / "fold_2.ckpt").is_file()
+            for name in ("notes.txt", "fold_2.ckpt.bak", "fold_02.ckpt"):
+                (out / name).write_text("kept\n", encoding="utf-8")
+    # every fold file left is listed, and nothing else was removed
+    listed = set(read_manifest(out)["outputs"])
+    assert {p.name for p in out.iterdir()} == listed | {
+        "run.json", "notes.txt", "fold_2.ckpt.bak", "fold_02.ckpt"
+    }
+    assert {name for name in listed if "fold_" in name} == {
+        f"{stem}{fold}{suffix}"
+        for fold in (0, 1)
+        for stem, suffix in (
+            ("fold_", ".ckpt"), ("fold_", ".ckpt.vocab.txt"),
+            ("loss_curve_fold_", ".csv"), ("pearson_curve_fold_", ".csv"),
+        )
+    }
+
+
+# Runs ``phraselab crossval`` on two fold workers whose trainer marks
+# itself started, then blocks.
+BLOCKED_CROSSVAL = """
+import os, sys, time
+from pathlib import Path
+from phraselab import cli, evaluation, model
+
+def blocks(data, train_idx, val_idx, cfg):
+    (Path(sys.argv[1]) / str(os.getpid())).touch()
+    time.sleep(600)
+
+evaluation._fold_workers = lambda k: 2
+model.model_fold_trainer = blocks
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def live_members(session: int) -> list[int]:
+    """Pids of the processes of ``session`` that have not exited."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = Path("/proc", entry, "stat").read_text(encoding="utf-8")
+        except (OSError, ValueError):
+            continue
+        # after the parenthesized command name: state, ppid, pgrp, session
+        state, _, _, sid = stat[stat.rindex(")") + 2 :].split()[:4]
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_fold_workers_die_with_a_command_killed_alone(tmp_path):
+    data = crossval_csv(tmp_path)
+    started = tmp_path / "started"
+    started.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    stderr = tmp_path / "stderr.txt"
+    argv = [
+        sys.executable, "-c", BLOCKED_CROSSVAL, str(started), "crossval", "--data", str(data),
+        "--out", str(tmp_path / "out"), "--preset", "xsmall", "--k", "3", "--bins", "2",
+        "--seed", str(CV_SEED), "--epochs", "1",
+    ]
+    # stderr goes to a file: a worker left alive would hold a pipe open
+    with open(stderr, "wb") as err:
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=err, start_new_session=True
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(started.iterdir())) < 2:
+            assert proc.poll() is None, stderr.read_text(encoding="utf-8")
+            assert time.monotonic() < deadline, "the fold workers never started"
+            time.sleep(0.05)
+        proc.terminate()  # the command alone, not its process group
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while live_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_members(proc.pid) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
 
 
 # ---------------------------------------------------------------- exit mapping

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import functools
 import hashlib
 import itertools
@@ -154,6 +155,27 @@ def test_a_gradient_buffer_handed_in_is_zeroed_before_the_step_adds_into_it():
     assert grads is stale
     assert again == loss and again_score.tobytes() == score.tobytes()
     assert grads.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_each_layers_stacked_projection_views_its_three_content_weights(tmp_path):
+    """One product projects queries, keys and values through ``attn.qkv``,
+    so its slices must be ``wq_c``, ``wk_c`` and ``wv`` themselves in
+    every layout: initialized, loaded, gradients and a pickled copy."""
+    cfg = micro_config(layers=2, vocab_size=64)
+    params = M.init_params(cfg)
+    loaded, _ = M.load_checkpoint(M.save_checkpoint(params, cfg, tmp_path / "m.ckpt"))
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, cfg.vocab_size, (2, cfg.max_len))
+    _, grads, _ = M.loss_and_grads(ids, np.ones((2, cfg.max_len)), rng.random(2), params, cfg)
+    for laid_out in (params, loaded, grads, pickle.loads(pickle.dumps(params))):
+        for lay in laid_out.layers:
+            attn = lay.attn
+            assert attn.qkv.shape == (3, cfg.d_model, cfg.d_model)
+            for view, weight in zip(attn.qkv, (attn.wq_c, attn.wk_c, attn.wv)):
+                assert view.__array_interface__ == weight.__array_interface__
+                assert np.shares_memory(view, laid_out.flat)
+    # a copied layer's weights no longer share one buffer: it stacks them
+    assert copy.deepcopy(params.layers[0].attn).qkv is None
 
 
 def test_shared_relative_table_is_aliased():
