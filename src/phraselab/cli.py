@@ -31,7 +31,6 @@ from .errors import (
     NumericError,
     PhraseLabError,
     ShapeMismatch,
-    ValidationError,
 )
 from .text import LAYOUTS, encode, load_vocab, save_vocab
 
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, PhraseLabError) as exc:
+    except PhraseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -16,7 +16,7 @@ the test suite.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import json
 import math
@@ -132,10 +132,10 @@ class ModelParams:
     out by ``_params_over``: gradients and Adam's moments share the
     layout, so whole-model steps run on the buffers.
 
-    ``relative`` holds each layer's relative terms, built once for
-    weights that no longer move: a loaded checkpoint, whose arrays are
-    read-only, or one ``predict`` or validation pass. When None, every
-    forward builds its own from the arrays.
+    ``relative`` holds each layer's relative terms (``_prepared``),
+    built once for weights that no longer move: a loaded checkpoint,
+    whose arrays are read-only, or one ``predict`` or validation pass.
+    When None, every forward builds its own from the arrays.
     """
 
     token_embed: np.ndarray
@@ -493,16 +493,15 @@ def _packed_positions(mask: np.ndarray) -> Optional[np.ndarray]:
     return None if keep.all() else np.flatnonzero(keep)
 
 
-def _layer_terms(params: ModelParams, cfg: ModelConfig, length: int) -> tuple[RelativeTerms, ...]:
-    return tuple(
-        attn_mod.relative_terms(lay.attn, cfg.attention, length) for lay in params.layers
-    )
-
-
 def _prepared(params: ModelParams, cfg: ModelConfig) -> ModelParams:
-    """``params`` carrying every layer's relative terms, for any batch
-    width; the arrays are shared, not copied."""
-    return replace(params, relative=_layer_terms(params, cfg, cfg.max_len))
+    """``params`` carrying every layer's relative terms, gathered at
+    ``cfg.max_len``; the arrays are shared, not copied.
+
+    A width-L batch reads the top-left (L, L) corner of each p2p field,
+    which is bit-equal to the field gathered at L.
+    """
+    terms = (attn_mod.relative_terms(lay.attn, cfg.attention, cfg.max_len) for lay in params.layers)
+    return replace(params, relative=tuple(terms))
 
 
 def forward_batch(
@@ -524,7 +523,7 @@ def forward_batch(
     The cache holds what ``loss_and_grads`` reads on the way back; it
     is built only when ``keep_cache`` is set and is None otherwise.
     The relative terms come from ``params.relative`` and are built for
-    this call when that is None.
+    this call by ``_prepared`` when that is None.
 
     Every call first drops the trailing columns that are padding in
     every row, then packs the real positions (and column 0 of each
@@ -559,7 +558,7 @@ def forward_batch(
 
     terms = params.relative
     if terms is None:
-        terms = _layer_terms(params, cfg, width)
+        terms = _prepared(params, cfg).relative
     x = params.token_embed[ids]
     # late injection: the absolute positions enter the final block only
     inject_at = cfg.layers - 1
@@ -589,36 +588,40 @@ def forward_batch(
     return score, cache
 
 
-def _refusing_overflow(fn):
-    """Run ``fn`` with float64 overflow and invalid operations raising
-    NumericOverflow, so finite but huge weights cannot return scores
-    computed from infinities."""
-
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise NumericOverflow(
-                f"scoring leaves the float64 range ({exc}); the weights are too large"
-            ) from exc
-
-    return guarded
+@contextlib.contextmanager
+def _refusing_overflow(what: str) -> Iterator[None]:
+    """Float64 overflow and invalid operations inside raise
+    NumericOverflow naming ``what``, so finite but huge weights cannot
+    return scores computed from infinities."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericOverflow(
+            f"{what} left the float64 range ({exc}); the weights are too large"
+        ) from exc
 
 
-@_refusing_overflow
+def _as_arrays(seqs: Sequence[TokenSequence], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, mask), each (len(seqs), max_len), of encoded sequences."""
+    ids = np.empty((len(seqs), cfg.max_len), dtype=np.intp)
+    mask = np.empty((len(seqs), cfg.max_len), dtype=np.float64)
+    for row, seq in enumerate(seqs):
+        ids[row] = seq.ids
+        mask[row] = seq.attention_mask
+    return ids, mask
+
+
 def forward(tokens: TokenSequence, params: ModelParams, cfg: ModelConfig) -> float:
-    """Deterministic single-sequence score in (0, 1), dropout off.
+    """Deterministic single-sequence score in (0, 1), dropout off: a
+    batch of one through ``_batched_scores``.
 
     Raises NumericOverflow when the forward leaves the float64 range.
     """
     if len(tokens.ids) != cfg.max_len:
         raise ShapeMismatch(f"sequence length {len(tokens.ids)} != max_len {cfg.max_len}")
-    ids = np.asarray(tokens.ids, dtype=np.intp)[None]
-    mask = np.asarray(tokens.attention_mask, dtype=np.float64)[None]
-    score, _ = forward_batch(ids, mask, params, cfg)
-    return float(score[0])
+    ids, mask = _as_arrays([tokens], cfg)
+    return float(_batched_scores(ids, mask, params, cfg)[0])
 
 
 def loss_and_grads(
@@ -746,16 +749,13 @@ class AdamState:
 def _encode_rows(
     d: Dataset, indices: Sequence[int], vocab: Vocabulary, cfg: ModelConfig
 ):
-    ids = np.empty((len(indices), cfg.max_len), dtype=np.intp)
-    mask = np.empty((len(indices), cfg.max_len), dtype=np.float64)
-    gold = np.empty(len(indices), dtype=np.float64)
-    for row, i in enumerate(indices):
-        rec = d.records[i]
-        seq = encode(rec.anchor, rec.target, rec.context, vocab, cfg.max_len, cfg.input_layout)
-        ids[row] = seq.ids
-        mask[row] = seq.attention_mask
-        gold[row] = rec.score
-    return ids, mask, gold
+    """(ids, mask, gold) of the dataset rows, in the order of ``indices``."""
+    recs = [d.records[i] for i in indices]
+    ids, mask = _as_arrays(
+        [encode(r.anchor, r.target, r.context, vocab, cfg.max_len, cfg.input_layout) for r in recs],
+        cfg,
+    )
+    return ids, mask, np.array([r.score for r in recs], dtype=np.float64)
 
 
 def _batched_scores(
@@ -767,14 +767,19 @@ def _batched_scores(
     consecutive tiles of ``_SCORE_TILE``, so each tile trims to little
     padding and its temporaries stay the same size however many rows
     there are. Each score lands back at its row's position.
+
+    This is the one eval-mode path: ``forward``, ``predict`` and the
+    validation pass of ``train`` all score here, so all of them raise
+    NumericOverflow when the forward leaves the float64 range.
     """
-    if params.relative is None:
-        params = _prepared(params, cfg)
-    order = np.argsort(mask.sum(axis=1), kind="stable")
     out = np.empty(ids.shape[0], dtype=np.float64)
-    for start in range(0, ids.shape[0], _SCORE_TILE):
-        rows = order[start : start + _SCORE_TILE]
-        out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
+    with _refusing_overflow("scoring"):
+        if params.relative is None:
+            params = _prepared(params, cfg)
+        order = np.argsort(mask.sum(axis=1), kind="stable")
+        for start in range(0, ids.shape[0], _SCORE_TILE):
+            rows = order[start : start + _SCORE_TILE]
+            out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
 
 
@@ -790,7 +795,8 @@ def train(
     so nothing from the validation side leaks into the token table,
     and the table has one row per vocabulary entry. Raises
     NonFiniteLoss as soon as a step produces a NaN or infinite loss or
-    gradient norm.
+    gradient norm, and NumericOverflow when a validation pass leaves
+    the float64 range.
     """
     train_idx = list(split[0])
     val_idx = list(split[1])
@@ -845,7 +851,6 @@ def train(
     return params, trace
 
 
-@_refusing_overflow
 def predict(
     d: Dataset,
     indices: Sequence[int],
@@ -987,9 +992,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelConfig]:
     if not np.isfinite(payload).all():
         name = next(n for n, arr in params.named_arrays() if not np.isfinite(arr).all())
         raise NonFiniteWeights(f"{path}: array {name!r} holds a NaN or infinite value")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            params = _prepared(params, cfg)
-    except FloatingPointError as exc:
-        raise NumericOverflow(f"{path}: relative-position terms leave the float64 range: {exc}") from exc
+    with _refusing_overflow(f"{path}: the relative-position terms"):
+        params = _prepared(params, cfg)
     return params, cfg

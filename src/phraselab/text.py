@@ -137,6 +137,8 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> Path:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
+    """Read a ``save_vocab`` file; a token listed twice raises
+    ValidationError, since either id could be the one meant."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -149,8 +151,9 @@ def load_vocab(path: str | Path) -> Vocabulary:
         raise ValidationError(
             f"{path}: first four entries must be {SPECIAL_TOKENS}, got {tuple(lines[:4])}"
         )
-    id_to_token = tuple(lines)
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-    )
+    token_to_id: dict[str, int] = {}
+    for i, tok in enumerate(lines):
+        first = token_to_id.setdefault(tok, i)
+        if first != i:
+            raise ValidationError(f"{path}: token {tok!r} on line {i + 1} repeats line {first + 1}")
+    return Vocabulary(token_to_id=token_to_id, id_to_token=tuple(lines))

@@ -619,6 +619,58 @@ def test_score_vocab_that_is_not_utf8_exits_2(crossval_run, tmp_path, capsys):
     assert str(vocab) in captured.err and "UTF-8" in captured.err
 
 
+def test_score_vocab_with_a_repeated_entry_exits_2(crossval_run, tmp_path, capsys):
+    _, _, out = crossval_run
+    ckpt = tmp_path / "twice.ckpt"
+    ckpt.write_bytes((out / "fold_0.ckpt").read_bytes())
+    lines = (out / "fold_0.ckpt.vocab.txt").read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[4]  # the row count still matches the checkpoint
+    vocab = Path(f"{ckpt}.vocab.txt")
+    vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli(
+        "score", "--checkpoint", ckpt,
+        "--anchor", "anchor one", "--target", "target one", "--context", "ctx0",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(vocab) in captured.err
+    assert f"on line {len(lines)} repeats line 5" in captured.err
+
+
+def test_crossval_anchor_context_layout_reaches_the_checkpoint_and_score(
+    crossval_run, tmp_path, capsys
+):
+    """``--layout anchor_context`` goes through crossval into every fold
+    checkpoint's config block, and ``score`` then reads no target: two
+    pairs that differ only in ``--target`` print the same value, where
+    the default layout's checkpoint tells them apart."""
+    data = crossval_csv(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(
+        "crossval", "--data", data, "--out", out, "--preset", "xsmall", "--k", "2",
+        "--bins", "2", "--seed", "3", "--epochs", "1", "--layout", "anchor_context",
+    ) == 0
+    for fold in range(2):
+        assert model.load_checkpoint(out / f"fold_{fold}.ckpt")[1].input_layout == "anchor_context"
+
+    def scores(ckpt):
+        printed = []
+        for target in ("target one extra", "target seven"):
+            assert run_cli(
+                "score", "--checkpoint", ckpt,
+                "--anchor", "anchor one", "--target", target, "--context", "ctx0",
+            ) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    first, second = scores(out / "fold_0.ckpt")
+    assert first == second
+    first, second = scores(crossval_run[2] / "fold_0.ckpt")
+    assert first != second
+
+
 # ---------------------------------------------------------------- fold workers
 
 # Fold trainers are module-level functions, since cross_validate sends

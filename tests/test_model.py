@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phraselab import model as M
-from phraselab.attention import AttentionConfig, masked_softmax
+from phraselab.attention import AttentionConfig, masked_softmax, relative_terms
 from phraselab.errors import (
     AllMasked,
     BadMagic,
@@ -460,6 +460,39 @@ def test_trimmed_training_step_matches_the_full_length_step(seed):
     assert trimmed_rng.bit_generator.state == full_rng.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.booleans())
+def test_a_training_step_reads_the_max_len_terms_as_the_terms_gathered_at_its_width(
+    seed, n_batch, dropout
+):
+    """A training step builds its relative terms at ``max_len`` and reads
+    the corner its trimmed width needs. It gives the loss, gradients,
+    scores and dropout stream, bit for bit, of a step whose terms are
+    gathered at that width, layer by layer."""
+    cfg = micro_config(layers=2, max_len=8, ffn_dim=6, dropout_rate=0.3 if dropout else 0.0)
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
+    mask = random_mask(rng, n_batch, cfg.max_len)
+    gold = rng.random(n_batch)
+    width = M._real_width(mask)
+    at_width = replace(params, relative=tuple(
+        relative_terms(lay.attn, cfg.attention, width) for lay in params.layers
+    ))
+    assert all(t.p2p.shape[-1] == width for t in at_width.relative)
+
+    got_rng = np.random.default_rng(seed)
+    loss, grads, score = M.loss_and_grads(ids, mask, gold, params, cfg, rng=got_rng)
+    want_rng = np.random.default_rng(seed)
+    want_loss, want_grads, want_score = M.loss_and_grads(
+        ids, mask, gold, at_width, cfg, rng=want_rng
+    )
+    assert loss == want_loss
+    assert np.array_equal(grads.flat, want_grads.flat)
+    assert np.array_equal(score, want_score)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_gradient_clipping_rescales_to_unit_norm():
     cfg = micro_config()
     grads = M._params_over(cfg)
@@ -594,6 +627,25 @@ def test_multi_row_scores_through_a_checkpoint_round_trip_match_the_golden_copy(
     params, cfg = M.load_checkpoint(path)
     assert params.relative is not None and len(params.relative) == cfg.layers
     assert_golden_rows(golden, params, cfg)
+
+
+def test_forward_on_unprepared_params_is_a_batch_of_one_of_the_bulk_path():
+    """``forward`` on init params, which carry no relative terms, gives
+    the golden rows the bits that the bulk path under ``predict`` gives
+    them in one call: both prepare the terms at ``max_len``."""
+    golden = json.loads(GOLDEN_ROWS.read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    params = M.init_params(cfg)
+    assert params.relative is None
+    ids = np.array(golden["ids"])
+    mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
+    bulk = M._batched_scores(ids, mask, params, cfg)
+    rows = [
+        M.forward(TokenSequence(ids=tuple(ids[r].tolist()), attention_mask=tuple(mask[r].astype(int).tolist())),
+                  params, cfg)
+        for r in range(len(ids))
+    ]
+    assert [s.hex() for s in rows] == [float(s).hex() for s in bulk] == golden["row_scores"]
 
 
 def reference_layer_norm(x, g, b):
@@ -947,19 +999,34 @@ def test_train_rejects_bad_splits():
         M.train(d, ([0, 1], [1, 2]), cfg)
 
 
-def test_divergent_training_raises_non_finite_loss():
-    d = overlap_dataset(n_pairs=8, n_extra=2)
-    cfg = micro_config(
+def divergent_config(batch_size):
+    return micro_config(
         max_len=16,
         vocab_size=64,
         attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8),
         learning_rate=1e150,
         epochs=4,
-        batch_size=8,
+        batch_size=batch_size,
     )
+
+
+def test_divergent_training_raises_non_finite_loss():
+    """Two steps per epoch: the first step's update blows the weights
+    up, and the second step's loss is refused before any validation."""
+    d = overlap_dataset(n_pairs=8, n_extra=2)
     with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteLoss):
-            M.train(d, (list(range(8)), [8, 9]), cfg)
+        with pytest.raises(NonFiniteLoss, match="^step 1: loss is nan$"):
+            M.train(d, (list(range(8)), [8, 9]), divergent_config(batch_size=4))
+
+
+def test_a_validation_pass_that_leaves_the_float64_range_raises_numeric_overflow():
+    """One step per epoch: the first validation pass scores the blown-up
+    weights, and is trapped like every eval-mode score instead of
+    recording non-finite validation scores."""
+    d = overlap_dataset(n_pairs=8, n_extra=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericOverflow, match="^scoring left the float64 range"):
+            M.train(d, (list(range(8)), [8, 9]), divergent_config(batch_size=8))
 
 
 @pytest.mark.parametrize("poison", [math.nan, math.inf])

@@ -184,6 +184,15 @@ def test_vocab_load_rejects_bad_specials(tmp_path):
         load_vocab(p)
 
 
+def test_vocab_load_rejects_a_repeated_entry(tmp_path):
+    """The last line would win the token's id, so the file is refused
+    naming the token and both of its lines."""
+    p = tmp_path / "vocab.txt"
+    p.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\nalpha\nbeta\nalpha\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"vocab\.txt: token 'alpha' on line 7 repeats line 5$"):
+        load_vocab(p)
+
+
 def test_vocab_load_rejects_invalid_utf8(tmp_path):
     p = tmp_path / "vocab.txt"
     p.write_bytes(b"[PAD]\n[UNK]\n[CLS]\n[SEP]\ng\xffar\n")
