@@ -316,6 +316,7 @@ def forward_batched(
     prob_dropout: Optional[np.ndarray] = None,
     keep_cache: bool = False,
     terms: Optional[RelativeTerms] = None,
+    queries: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[AttentionCache]]:
     """Batched forward pass.
 
@@ -328,12 +329,24 @@ def forward_batched(
     ``backward_batched`` reads; it is built only when ``keep_cache`` is
     set and is None otherwise, so an inference caller frees the
     projections and probabilities as soon as the call returns.
+
+    ``queries``, when given, keeps only the first ``queries`` query
+    positions, 1 to L, with no cache: keys and values still come from
+    every position, and the output, the scores and ``prob_dropout``
+    are (B, queries, ...) and (B, H, queries, L). Each kept row has the
+    bits of the full call's row when ``queries`` is at least 2 and the
+    head width and bucket count at least 4: then every product keeps
+    two rows or more (a one-row product takes BLAS's vector path, whose
+    bits differ) and, past three rows, four columns or more
+    (tests/test_blas.py).
     """
     h = np.asarray(h, dtype=np.float64)
     keep = np.asarray(mask, dtype=bool)
     _validate_batched(h, params, cfg, keep)
     n_batch, length = h.shape[:2]
     n_heads = cfg.n_heads
+    if queries is not None and (keep_cache or not 1 <= queries <= length):
+        raise ShapeMismatch(f"queries must be in [1, {length}] with no cache, got {queries}")
     if terms is None:
         terms = relative_terms(params, cfg, length)
     elif cfg.include_p2p and (terms.p2p is None or terms.p2p.shape[-1] < length):
@@ -348,20 +361,29 @@ def forward_batched(
     # row and weight: the blocks keep the shape, so the bits, of
     # separate products (a one-row block takes NumPy's vector path)
     w3 = params.qkv if params.qkv is not None else np.stack((params.wq_c, params.wk_c, params.wv))
-    qkv = (h @ w3[:, None]).reshape(3, n_batch, length, n_heads, -1).swapaxes(-2, -3)
-    qc, kc, v = qkv[0], qkv[1], qkv[2]  # each (B, H, L, dh)
-
     q_take, k_take, _, _ = _bucket_tables(length, cfg.max_rel_distance)
+    if queries is None:
+        queries = length
+        qkv = (h @ w3[:, None]).reshape(3, n_batch, length, n_heads, -1).swapaxes(-2, -3)
+        qc, kc, v = qkv[0], qkv[1], qkv[2]  # each (B, H, L, dh)
+        # each bilinear term is computed in bucket space and then gathered
+        # per (query, key) pair; one product gives both bucket fields, the
+        # first query indexed, the second key indexed
+        buckets = (qkv[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
+        c2p, p2c = buckets[0], buckets[1]
+    else:
+        kv = (h @ w3[1:, None]).reshape(2, n_batch, length, n_heads, -1).swapaxes(-2, -3)
+        kc, v = kv[0], kv[1]
+        qc = _split_heads(h[:, :queries] @ w3[0], n_heads)
+        c2p = (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1)
+        p2c = (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1)
+        q_take, k_take = q_take[:queries], k_take[:queries]
 
-    # each bilinear term is computed in bucket space and then gathered
-    # per (query, key) pair; one product gives both bucket fields, the
-    # first query indexed, the second key indexed
     raw = qc @ kc.swapaxes(-1, -2)
-    buckets = (qkv[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
-    raw += buckets[0].take(q_take, axis=-1)
-    raw += buckets[1].take(k_take, axis=-1)
+    raw += c2p.take(q_take, axis=-1)
+    raw += p2c.take(k_take, axis=-1)
     if cfg.include_p2p:
-        raw += terms.p2p[:, :length, :length]
+        raw += terms.p2p[:, :queries, :length]
 
     raw /= terms.denom
 

@@ -51,14 +51,20 @@ LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
-# rows per forward in bulk scoring. Each block allocates temporaries
+# rows per tile in eval scoring. Each block allocates temporaries
 # that grow with the rows, so the tile bounds the working set: 512
 # full-length small rows peak at 2.7 MB traced at 16 rows, 3.9 at 24
 # and 7.5 at 48. Interleaved sweeps of predict on 512 benchmark rows
 # (one BLAS thread, 2 shared vCPUs, CPU-time medians of 12 rounds)
 # scored 16 and 24 rows about equally fast, 48 and 64 rows 18-27%
-# slower, and 8 rows 8-14% slower than 16, from per-call overhead
+# slower, and 8 rows 8-14% slower than 16, from per-call overhead.
+# Bulk scoring passes _SCORE_GROUP tiles per forward_batch call, run
+# layer-major so a layer's weights stay in cache across the group;
+# every tile's states live until the top block, so the group bounds
+# the working set too: on this code the same 512 rows peak at 2.38 MB
+# traced in 1-tile groups, 2.79 in 4-tile and 3.33 in 8-tile groups
 _SCORE_TILE = 16
+_SCORE_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -422,6 +428,7 @@ def _block_forward(
     mask: np.ndarray,
     drop_rng: Optional[np.random.Generator],
     keep_cache: bool,
+    head_only: bool = False,
 ):
     """One pre-norm block on packed (N, d) states; returns (states, cache or None).
 
@@ -431,20 +438,34 @@ def _block_forward(
     masks are drawn at full ``max_len`` and then cut to the batch width
     and packed, so the random stream does not depend on the layout.
     Everything not returned is freed on return.
+
+    ``head_only`` (no cache) runs the top block for the head alone:
+    keys and values come from every position, but the queries, the
+    residual, the second norm and the FFN run on grid columns 0 to
+    min(2, L) - 1 of each row only, and the (B, d) column-0 states are
+    returned. Two columns, not one, keep every product at two rows or
+    more, so column 0 keeps its bits (``forward_batched``'s ``queries``)
+    where ``_head_only_keeps_bits`` holds.
     """
     n_batch, length = layout.n_batch, layout.length
     n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b, keep_cache)
+    cols = min(2, length) if head_only else None
     prob_drop = None
     if drop_rng is not None:
         keep_scale = 1.0 / (1.0 - cfg.dropout_rate)
         shape = (n_batch, cfg.n_heads, cfg.max_len, cfg.max_len)
         keep = drop_rng.random(shape) >= cfg.dropout_rate
-        prob_drop = keep[:, :, :length, :length] * keep_scale
+        prob_drop = keep[:, :, : cols or length, :length] * keep_scale
     attn_out, _, attn_cache = attn_mod.forward_batched(
-        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms
+        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms, queries=cols
     )
-    xb = layout.gather(attn_out)
-    xb += x
+    if head_only:
+        # a column-1 slot that is padding reads zeros, as in the grid
+        xb = attn_out.reshape(n_batch * cols, -1)
+        xb += layout.scatter(x)[:, :cols].reshape(xb.shape)
+    else:
+        xb = layout.gather(attn_out)
+        xb += x
     n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b, keep_cache)
     pre = n2 @ lay.w1
     pre += lay.b1
@@ -453,11 +474,14 @@ def _block_forward(
     used = act
     if drop_rng is not None:
         keep = drop_rng.random((n_batch, cfg.max_len, cfg.ffn_dim)) >= cfg.dropout_rate
-        ffn_drop = layout.gather(keep[:, :length]) * keep_scale
+        kept = keep[:, :cols].reshape(-1, cfg.ffn_dim) if head_only else layout.gather(keep[:, :length])
+        ffn_drop = kept * keep_scale
         used = act * ffn_drop
     x = used @ lay.w2
     x += xb
     x += lay.b2
+    if head_only:
+        return x[::cols], None
     if not keep_cache:
         return x, None
     return x, {
@@ -504,6 +528,78 @@ def _prepared(params: ModelParams, cfg: ModelConfig) -> ModelParams:
     return replace(params, relative=tuple(terms))
 
 
+class _Tile:
+    """Rows on their way up the encoder, with the states ``x`` they have
+    reached and the caches of the blocks they passed.
+
+    Made from (ids, mask) grids already checked: the trailing columns
+    that are padding in every row are dropped, the kept positions
+    packed (``_TokenLayout``) and their token embeddings gathered.
+    """
+
+    def __init__(self, ids: np.ndarray, mask: np.ndarray, params: ModelParams) -> None:
+        width = _real_width(mask)
+        # the key mask every block's attention reads, made once
+        ids, self.keys = ids[:, :width], mask[:, :width] != 0
+        self.layout = _TokenLayout(ids.shape[0], width, _packed_positions(self.keys))
+        self.ids = self.layout.gather(ids)
+        self.x = params.token_embed[self.ids]
+        self.blocks: list = []
+
+
+def _head_only_keeps_bits(cfg: ModelConfig) -> bool:
+    """Whether a ``head_only`` top block gives the full block's bits.
+
+    A row of a product with four columns or more has the same bits
+    whatever the product's height from two rows up; with fewer columns
+    it may not past three rows (tests/test_blas.py). So the widths the
+    cut products have, the head width, the bucket count and the FFN
+    width (``d_model`` is at least the head width), must reach four.
+    The scores' product has the batch width as its columns; below four,
+    the full block's product has at most three rows as well.
+    """
+    return min(cfg.attention.d_head, cfg.attention.n_buckets, cfg.ffn_dim) >= 4
+
+
+def _encode(
+    tiles: Sequence[_Tile],
+    params: ModelParams,
+    terms: Sequence[RelativeTerms],
+    cfg: ModelConfig,
+    drop_rng: Optional[np.random.Generator],
+    keep_cache: bool,
+) -> None:
+    """Every tile through every block, layer-major: one layer's weights
+    serve each tile before the next layer starts, so they stay in cache.
+
+    Each tile's ``x`` ends as its (B, d) column-0 states, which the head
+    reads. The top block is ``head_only`` without ``keep_cache``, where
+    that keeps the bits; with ``keep_cache`` the block caches are kept.
+    """
+    # late injection: the absolute positions enter the final block only
+    inject_at = cfg.layers - 1
+    cut = not keep_cache and _head_only_keeps_bits(cfg)
+    for li, lay in enumerate(params.layers):
+        for tile in tiles:
+            if li == inject_at:
+                tile.x = tile.x + params.abs_pos_embed[tile.layout.columns]
+            tile.x, block_cache = _block_forward(
+                tile.x, lay, terms[li], cfg, tile.layout, tile.keys, drop_rng, keep_cache,
+                head_only=cut and li == inject_at,
+            )
+            if keep_cache:
+                tile.blocks.append(block_cache)
+    if not cut:
+        for tile in tiles:
+            tile.x = tile.x[tile.layout.cls_rows]
+
+
+def _head(cls: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(pooled, score) of the (B, d) column-0 states."""
+    pooled = np.tanh(cls @ params.head_w + params.head_b)
+    return pooled, _sigmoid(pooled @ params.out_w + params.out_b[0])
+
+
 def forward_batch(
     ids: np.ndarray,
     mask: np.ndarray,
@@ -518,14 +614,25 @@ def forward_batch(
     row of ``params.token_embed``. Dropout runs when ``rng`` is given
     and ``cfg.dropout_rate`` is positive: its masks are drawn from
     ``rng`` after the attention probabilities and after the FFN
-    activation, exactly one draw pair per block.
+    activation, exactly one draw pair per block and tile.
 
     The cache holds what ``loss_and_grads`` reads on the way back; it
     is built only when ``keep_cache`` is set and is None otherwise.
     The relative terms come from ``params.relative`` and are built for
     this call by ``_prepared`` when that is None.
 
-    Every call first drops the trailing columns that are padding in
+    With ``keep_cache`` the batch is one tile. Without it the rows run
+    in consecutive tiles of ``_SCORE_TILE``, each trimmed to its own
+    width, layer-major: every tile passes a block before the next block
+    starts (``_encode``). The top block then works for the head alone
+    (``_block_forward``'s ``head_only``). Neither moves a score's bits:
+    a row's bits do not depend on the other rows of a product that
+    holds two rows or more (``_head_only_keeps_bits`` has the widths
+    this needs). Every tile's states stay alive until the top block,
+    so ``_batched_scores`` passes at most ``_SCORE_GROUP`` tiles per
+    call.
+
+    Every tile first drops the trailing columns that are padding in
     every row, then packs the real positions (and column 0 of each
     row) into one (N, d) array: the embedding gather, the position
     injection, both layer norms, the residuals and the FFN run on those
@@ -550,38 +657,29 @@ def forward_batch(
         if lo < 0 or hi >= rows:
             bad = lo if lo < 0 else hi
             raise ShapeMismatch(f"token id {bad} outside the embedding table's rows [0, {rows})")
-    width = _real_width(mask)
-    # the key mask every block's attention reads, made once
-    ids, keys = ids[:, :width], mask[:, :width] != 0
-    layout = _TokenLayout(ids.shape[0], width, _packed_positions(keys))
-    ids = layout.gather(ids)
 
     terms = params.relative
     if terms is None:
         terms = _prepared(params, cfg).relative
-    x = params.token_embed[ids]
-    # late injection: the absolute positions enter the final block only
-    inject_at = cfg.layers - 1
     drop_rng = rng if cfg.dropout_rate > 0.0 else None
-    blocks = []
-    for li, lay in enumerate(params.layers):
-        if li == inject_at:
-            x = x + params.abs_pos_embed[layout.columns]
-        x, block_cache = _block_forward(x, lay, terms[li], cfg, layout, keys, drop_rng, keep_cache)
-        blocks.append(block_cache)
-
-    cls = x[layout.cls_rows]
-    pooled = np.tanh(cls @ params.head_w + params.head_b)
-    logit = pooled @ params.out_w + params.out_b[0]
-    score = _sigmoid(logit)
     if not keep_cache:
+        starts = range(0, ids.shape[0], _SCORE_TILE)
+        tiles = [_Tile(ids[s : s + _SCORE_TILE], mask[s : s + _SCORE_TILE], params) for s in starts]
+        _encode(tiles, params, terms, cfg, drop_rng, keep_cache=False)
+        score = np.empty(ids.shape[0])
+        for s, tile in zip(starts, tiles):
+            score[s : s + _SCORE_TILE] = _head(tile.x, params)[1]
         return score, None
+
+    tile = _Tile(ids, mask, params)
+    _encode([tile], params, terms, cfg, drop_rng, keep_cache=True)
+    pooled, score = _head(tile.x, params)
     cache = {
-        "ids": ids,
-        "layout": layout,
-        "inject_at": inject_at,
-        "blocks": blocks,
-        "cls": cls,
+        "ids": tile.ids,
+        "layout": tile.layout,
+        "inject_at": cfg.layers - 1,
+        "blocks": tile.blocks,
+        "cls": tile.x,
         "pooled": pooled,
         "score": score,
     }
@@ -620,6 +718,10 @@ def forward(tokens: TokenSequence, params: ModelParams, cfg: ModelConfig) -> flo
     """
     if len(tokens.ids) != cfg.max_len:
         raise ShapeMismatch(f"sequence length {len(tokens.ids)} != max_len {cfg.max_len}")
+    if len(tokens.attention_mask) != cfg.max_len:
+        raise ShapeMismatch(
+            f"attention mask length {len(tokens.attention_mask)} != max_len {cfg.max_len}"
+        )
     ids, mask = _as_arrays([tokens], cfg)
     return float(_batched_scores(ids, mask, params, cfg)[0])
 
@@ -766,7 +868,9 @@ def _batched_scores(
     The rows are sorted by real length (stably) and scored in
     consecutive tiles of ``_SCORE_TILE``, so each tile trims to little
     padding and its temporaries stay the same size however many rows
-    there are. Each score lands back at its row's position.
+    there are. ``forward_batch`` takes ``_SCORE_GROUP`` tiles per call
+    and runs them layer-major. Each score lands back at its row's
+    position.
 
     This is the one eval-mode path: ``forward``, ``predict`` and the
     validation pass of ``train`` all score here, so all of them raise
@@ -777,8 +881,9 @@ def _batched_scores(
         if params.relative is None:
             params = _prepared(params, cfg)
         order = np.argsort(mask.sum(axis=1), kind="stable")
-        for start in range(0, ids.shape[0], _SCORE_TILE):
-            rows = order[start : start + _SCORE_TILE]
+        group = _SCORE_GROUP * _SCORE_TILE
+        for start in range(0, ids.shape[0], group):
+            rows = order[start : start + group]
             out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
 

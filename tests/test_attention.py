@@ -598,6 +598,66 @@ def test_prepared_terms_are_read_only_and_must_cover_the_length():
         forward_batched(h, params, cfg, mask, terms=short)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n_batch=st.integers(1, 16),
+    length=st.integers(2, PREPARED_MAX_LEN),
+    queries=st.integers(1, PREPARED_MAX_LEN),
+    include_p2p=st.booleans(),
+    prepared=st.booleans(),
+    laid_out=st.booleans(),
+    with_dropout=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_query_restricted_forward_keeps_the_first_query_rows_bit_for_bit(
+    n_batch, length, queries, include_p2p, prepared, laid_out, with_dropout, seed
+):
+    """``queries=q`` gives the first q query rows of the full call:
+    output and raw scores bit for bit from two rows up, with holes in
+    the mask and column 0 masked in some rows. One query row turns
+    every product into a one-row product, whose vector path may round
+    differently, so q = 1 is held to 1e-12."""
+    q = min(queries, length)
+    cfg = small_config(include_p2p=include_p2p)
+    params = random_params(cfg, seed % 1000)
+    if laid_out:
+        params = laid_out_back_to_back(params)
+    terms = relative_terms(params, cfg, PREPARED_MAX_LEN) if prepared else None
+    rng = np.random.default_rng(seed)
+    h = rng.normal(0, 1, (n_batch, length, cfg.d_model))
+    mask = (rng.random((n_batch, length)) < 0.6).astype(np.float64)
+    mask[:, 0] = rng.random(n_batch) < 0.5
+    mask[np.arange(n_batch), rng.integers(1, length, n_batch)] = 1.0
+    drop = None
+    if with_dropout:
+        drop = (rng.random((n_batch, cfg.n_heads, length, length)) >= 0.2) / 0.8
+
+    want_out, want_raw, _ = forward_batched(h, params, cfg, mask, drop, terms=terms)
+    got_out, got_raw, cache = forward_batched(
+        h, params, cfg, mask, None if drop is None else drop[:, :, :q], terms=terms, queries=q
+    )
+    assert cache is None
+    assert got_out.shape == (n_batch, q, cfg.d_model)
+    assert got_raw.shape == (n_batch, cfg.n_heads, q, length)
+    if q >= 2:
+        assert np.array_equal(got_out, want_out[:, :q])
+        assert np.array_equal(got_raw, want_raw[:, :, :q])
+    else:
+        assert np.max(np.abs(got_out - want_out[:, :q])) <= 1e-12
+        assert np.max(np.abs(got_raw - want_raw[:, :, :q])) <= 1e-12
+
+
+def test_query_restriction_must_fit_the_length_and_keep_no_cache():
+    cfg = small_config()
+    params = random_params(cfg, 67)
+    h, mask = prepared_batch(np.random.default_rng(68), 5)
+    for bad in (0, 6):
+        with pytest.raises(ShapeMismatch, match=rf"queries must be in \[1, 5\].*got {bad}"):
+            forward_batched(h, params, cfg, mask, queries=bad)
+    with pytest.raises(ShapeMismatch, match="no cache"):
+        forward_batched(h, params, cfg, mask, keep_cache=True, queries=2)
+
+
 def test_single_unmasked_key_pins_softmax_gradient():
     """One visible key pins every probability row at exactly 1, so no
     gradient can flow back through the score matrix."""

@@ -247,6 +247,15 @@ def test_forward_rejects_wrong_length():
         M.forward(seq, params, cfg)
 
 
+@pytest.mark.parametrize("mask_len", [3, 17])
+def test_forward_rejects_a_mask_of_another_length(mask_len):
+    cfg = micro_config()
+    params = M.init_params(cfg)
+    seq = TokenSequence(ids=(2, 5, 9, 0, 0, 0), attention_mask=(1,) * mask_len)
+    with pytest.raises(ShapeMismatch, match=rf"attention mask length {mask_len} != max_len 6"):
+        M.forward(seq, params, cfg)
+
+
 def test_forward_ignores_pad_region_content():
     cfg = micro_config()
     params = M.init_params(cfg)
@@ -578,6 +587,99 @@ def test_trimmed_eval_forward_matches_the_full_grid_forward(seed):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@contextlib.contextmanager
+def attention_queries():
+    """Yields the ``queries`` of every attention call made inside."""
+    seen = []
+    attend = M.attn_mod.forward_batched
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("queries"))
+        return attend(*args, **kwargs)
+
+    with mock.patch.object(M.attn_mod, "forward_batched", spy):
+        yield seen
+
+
+@contextlib.contextmanager
+def full_top_block():
+    """Run the eval forward's top block in full, for every position,
+    and hand the head its column-0 rows, as before the cut."""
+    block = M._block_forward
+
+    def whole(x, lay, terms, cfg, layout, mask, drop_rng, keep_cache, head_only=False):
+        out, cache = block(x, lay, terms, cfg, layout, mask, drop_rng, keep_cache)
+        return (out[layout.cls_rows] if head_only else out), cache
+
+    with mock.patch.object(M, "_block_forward", whole):
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_batch=st.integers(1, 20),
+    shape=st.sampled_from(["random", "column 1 padding", "width 1"]),
+    dropout=st.booleans(),
+)
+def test_eval_forward_top_block_cut_matches_the_full_top_block(seed, n_batch, shape, dropout):
+    """The eval forward's top block runs queries, the second norm and
+    the FFN on grid columns 0 and 1 only; the scores equal, bit for bit,
+    those of the full top block, with dropout on or off. Masks have
+    holes and masked column-0 slots, column 1 padding in some rows, or
+    no real column past the first; batches of one and of two tiles."""
+    cfg = micro_config(layers=2, max_len=8, ffn_dim=6, dropout_rate=0.2 if dropout else 0.0,
+                       attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=3))
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, cfg.vocab_size, (n_batch, cfg.max_len))
+    mask = random_mask(rng, n_batch, cfg.max_len)
+    if shape == "column 1 padding":
+        mask[rng.random(n_batch) < 0.5, 1] = 0.0
+        mask[:, 2] = 1.0
+    elif shape == "width 1":
+        mask[:, 0], mask[:, 1:] = 1.0, 0.0
+
+    def scores():
+        draw = np.random.default_rng(seed) if dropout else None
+        return M.forward_batch(ids, mask, params, cfg, rng=draw)[0]
+
+    with full_top_block(), attention_queries() as full_queries:
+        want = scores()
+    with attention_queries() as cut_queries:
+        got = scores()
+    n_tiles = -(-n_batch // M._SCORE_TILE)
+    assert full_queries == [None] * cfg.layers * n_tiles
+    assert cut_queries == [None] * n_tiles + [1 if shape == "width 1" else 2] * n_tiles
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("narrow", ["d_head", "n_buckets", "ffn_dim"])
+def test_a_width_below_four_keeps_the_full_top_block(narrow):
+    """Products of fewer than four columns may round a row differently
+    at different heights, so a model with a head width, bucket count or
+    FFN width below four runs its top block in full."""
+    wide = dict(ffn_dim=6, attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=3))
+    cut = {
+        "d_head": dict(attention=AttentionConfig(d_model=6, n_heads=2, max_rel_distance=3)),
+        "n_buckets": dict(attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=1)),
+        "ffn_dim": dict(ffn_dim=3),
+    }[narrow]
+    assert M._head_only_keeps_bits(micro_config(**wide))
+    cfg = micro_config(layers=2, max_len=8, **{**wide, **cut})
+    assert not M._head_only_keeps_bits(cfg)
+    params = inflated_micro_params(cfg)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(0, cfg.vocab_size, (3, cfg.max_len))
+    mask = random_mask(rng, 3, cfg.max_len)
+    with attention_queries() as seen:
+        got, _ = M.forward_batch(ids, mask, params, cfg)
+    with full_top_block():
+        want, _ = M.forward_batch(ids, mask, params, cfg)
+    assert seen == [None, None]
+    assert np.array_equal(got, want)
+
+
 def test_trimmed_eval_forward_is_bit_exact_on_the_golden_input():
     cfg = replace(M.presets("small"), seed=7)
     params = M.init_params(cfg)
@@ -627,6 +729,15 @@ def test_multi_row_scores_through_a_checkpoint_round_trip_match_the_golden_copy(
     params, cfg = M.load_checkpoint(path)
     assert params.relative is not None and len(params.relative) == cfg.layers
     assert_golden_rows(golden, params, cfg)
+
+
+def test_golden_rows_are_unmoved_by_the_top_block_cut():
+    """The seed-7 golden rows through the full top block get the bits
+    the cut gets, the pinned ones."""
+    golden = json.loads(GOLDEN_ROWS.read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    with full_top_block():
+        assert_golden_rows(golden, M.init_params(cfg), cfg)
 
 
 def test_forward_on_unprepared_params_is_a_batch_of_one_of_the_bulk_path():
@@ -798,14 +909,14 @@ def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
 
 
 # around the first tile's end and the third's
-@pytest.mark.parametrize(
-    "n_rows",
-    [0, 1, 150] + [tiles * M._SCORE_TILE + extra for tiles in (1, 3) for extra in (-1, 0, 1)],
-)
-def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
-    """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
-    rows, whatever ``batch_size`` is, and each score comes back at its
-    index's position, matching that row's own forward."""
+TILE_ROW_COUNTS = [0, 1, 150] + [
+    tiles * M._SCORE_TILE + extra for tiles in (1, 3) for extra in (-1, 0, 1)
+]
+
+
+def tile_order_case(n_rows):
+    """(cfg, dataset, vocab, params, indices): ``n_rows`` of 150 mixed-length
+    rows, in no order."""
     cfg = micro_config(max_len=16, vocab_size=64,
                        attention=AttentionConfig(d_model=8, n_heads=2, max_rel_distance=8))
     d = mixed_length_dataset(150)
@@ -813,15 +924,24 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
     params = inflated_micro_params(cfg, factor=5.0)
     indices = np.random.default_rng(n_rows).permutation(len(d))[:n_rows].tolist()
     assert n_rows < 2 or indices != sorted(indices)
+    return cfg, d, vocab, params, indices
+
+
+@pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
+def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
+    """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
+    rows, whatever ``batch_size`` is, and each score comes back at its
+    index's position, matching that row's own forward."""
+    cfg, d, vocab, params, indices = tile_order_case(n_rows)
 
     tiles = []
-    real_forward_batch = M.forward_batch
+    real_tile = M._Tile
 
     def recording(ids, mask, *args, **kwargs):
         tiles.append(mask.sum(axis=1))
-        return real_forward_batch(ids, mask, *args, **kwargs)
+        return real_tile(ids, mask, *args, **kwargs)
 
-    with mock.patch.object(M, "forward_batch", recording):
+    with mock.patch.object(M, "_Tile", recording):
         scores = M.predict(d, indices, params, replace(cfg, batch_size=1), vocab)
     assert [len(t) for t in tiles] == [
         min(M._SCORE_TILE, n_rows - start) for start in range(0, n_rows, M._SCORE_TILE)
@@ -836,6 +956,33 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
         assert abs(score - M.forward(seq, params, cfg)) <= 1e-12
     wide = M.predict(d, indices, params, replace(cfg, batch_size=512), vocab)
     assert np.array_equal(scores, wide)
+
+
+@pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
+def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows):
+    """Bulk scoring hands ``forward_batch`` groups of ``_SCORE_GROUP``
+    tiles, which run layer-major; every score equals, bit for bit, the
+    one its tile gets from a ``forward_batch`` call of its own."""
+    cfg, d, vocab, params, indices = tile_order_case(n_rows)
+    ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    want = np.empty(n_rows)
+    for start in range(0, n_rows, M._SCORE_TILE):
+        rows = order[start : start + M._SCORE_TILE]
+        want[rows], _ = M.forward_batch(ids[rows], mask[rows], params, cfg)
+
+    calls = []
+    real_forward_batch = M.forward_batch
+
+    def recording(ids, *args, **kwargs):
+        calls.append(len(ids))
+        return real_forward_batch(ids, *args, **kwargs)
+
+    with mock.patch.object(M, "forward_batch", recording):
+        got = M._batched_scores(ids, mask, params, cfg)
+    group = M._SCORE_GROUP * M._SCORE_TILE
+    assert calls == [min(group, n_rows - start) for start in range(0, n_rows, group)]
+    assert np.array_equal(got, want)
 
 
 def test_predict_working_set_is_one_tile_not_all_rows():
