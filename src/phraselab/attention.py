@@ -364,24 +364,29 @@ def forward_batched(
     q_take, k_take, _, _ = _bucket_tables(length, cfg.max_rel_distance)
     if queries is None:
         queries = length
-        qkv = (h @ w3[:, None]).reshape(3, n_batch, length, n_heads, -1).swapaxes(-2, -3)
-        qc, kc, v = qkv[0], qkv[1], qkv[2]  # each (B, H, L, dh)
-        # each bilinear term is computed in bucket space and then gathered
-        # per (query, key) pair; one product gives both bucket fields, the
-        # first query indexed, the second key indexed
-        buckets = (qkv[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
-        c2p, p2c = buckets[0], buckets[1]
+        proj = (h @ w3[:, None]).reshape(3, n_batch, length, n_heads, -1).swapaxes(-2, -3)
+        qc, kc, v = proj[0], proj[1], proj[2]  # each (B, H, L, dh)
     else:
-        kv = (h @ w3[1:, None]).reshape(2, n_batch, length, n_heads, -1).swapaxes(-2, -3)
-        kc, v = kv[0], kv[1]
+        proj = (h @ w3[1:, None]).reshape(2, n_batch, length, n_heads, -1).swapaxes(-2, -3)
+        kc, v = proj[0], proj[1]
         qc = _split_heads(h[:, :queries] @ w3[0], n_heads)
-        c2p = (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1)
-        p2c = (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1)
         q_take, k_take = q_take[:queries], k_take[:queries]
 
+    # each bilinear term is computed in bucket space and then gathered
+    # per (query, key) pair: the first field query indexed, the second
+    # key indexed
     raw = qc @ kc.swapaxes(-1, -2)
-    raw += c2p.take(q_take, axis=-1)
-    raw += p2c.take(k_take, axis=-1)
+    if keep_cache:
+        # one product gives both bucket fields
+        buckets = (proj[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
+        raw += buckets[0].take(q_take, axis=-1)
+        raw += buckets[1].take(k_take, axis=-1)
+    else:
+        # one field at a time, each freed before the next is made, with
+        # the bits of the stacked product: eval scoring may run two
+        # groups of tiles at once, so its temporaries die early
+        raw += (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1).take(q_take, axis=-1)
+        raw += (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1).take(k_take, axis=-1)
     if cfg.include_p2p:
         raw += terms.p2p[:, :queries, :length]
 
@@ -389,11 +394,13 @@ def forward_batched(
 
     probs = _softmax(raw, None if keep is None else keep[:, None, :])
     used = probs if prob_dropout is None else probs * prob_dropout
-    merged = _merge_heads(used @ v)
-    out = merged @ params.wo
+    ctx = used @ v
     if not keep_cache:
-        return out, raw, None
+        del proj, qc, kc, v, probs, used
+        return _merge_heads(ctx) @ params.wo, raw, None
 
+    merged = _merge_heads(ctx)
+    out = merged @ params.wo
     cache = AttentionCache(
         h=h, qc=qc, kc=kc, v=v, terms=terms, probs=probs, used=used, drop=prob_dropout,
         merged=merged, params=params, cfg=cfg,

@@ -228,22 +228,46 @@ def _blas_thread_functions():
     return None
 
 
+def _parallel_cpus() -> int:
+    """The CPUs that parallel work may use: the ones this process may
+    run on, or 1 where the BLAS's thread count cannot be pinned and
+    restored (``_one_blas_thread``), so the work runs serially there:
+    workers at the BLAS's default count would oversubscribe the CPUs."""
+    if _blas_thread_functions() is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """The BLAS runs one thread inside the block, so each parallel worker
+    (a fold process, a scoring thread) runs one; the caller's count comes
+    back when the block ends, however it ends. A no-op where the count
+    cannot be pinned, where ``_parallel_cpus`` keeps the work serial."""
+    blas = _blas_thread_functions()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def _fold_workers(k: int) -> int:
-    """Worker processes for ``k`` folds: ``least = min(k, usable CPUs)``,
+    """Worker processes for ``k`` folds: ``least = min(k, _parallel_cpus())``,
     or the fewest ``w`` below ``2 * least`` that divides ``k``, so every
     round of folds keeps every CPU busy and no CPU idles while the last
     fold trains (3 folds on 2 CPUs get 3 workers, 9 get 3, 10 get 2).
     The bound keeps a prime ``k`` from forking ``k`` workers (7 folds on
-    2 CPUs get 2). 1, so the folds train in this process, when the
-    BLAS's thread count cannot be pinned and restored: workers at its
-    default count would oversubscribe the CPUs."""
-    if _blas_thread_functions() is None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    least = max(1, min(k, cpus))
+    2 CPUs get 2). 1, so the folds train in this process, where there is
+    one such CPU."""
+    least = max(1, min(k, _parallel_cpus()))
     return next((w for w in range(least, min(k, 2 * least - 1) + 1) if k % w == 0), least)
 
 
@@ -294,12 +318,7 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    blas = _blas_thread_functions()
-    if blas is not None:
-        set_threads, get_threads = blas
-        threads = get_threads()
-        set_threads(1)
-    try:
+    with _one_blas_thread():
         pool = ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("fork"),
@@ -313,9 +332,6 @@ def _started(calls: Sequence[Callable[[], FoldOutcome]], workers: int):
             raise WorkerLost("a worker process exited before returning its results") from exc
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-    finally:
-        if blas is not None:
-            set_threads(threads)
 
 
 def cross_validate(

@@ -23,6 +23,7 @@ import math
 import numbers
 import os
 import struct
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -30,6 +31,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import attention as attn_mod
+from . import evaluation as eval_mod
 from .attention import AttentionConfig, AttentionParams, RelativeTerms
 from .corpus import Dataset
 from .errors import (
@@ -53,18 +55,25 @@ GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
 # rows per tile in eval scoring. Each block allocates temporaries
 # that grow with the rows, so the tile bounds the working set: 512
-# full-length small rows peak at 2.7 MB traced at 16 rows, 3.9 at 24
-# and 7.5 at 48. Interleaved sweeps of predict on 512 benchmark rows
-# (one BLAS thread, 2 shared vCPUs, CPU-time medians of 12 rounds)
-# scored 16 and 24 rows about equally fast, 48 and 64 rows 18-27%
-# slower, and 8 rows 8-14% slower than 16, from per-call overhead.
+# full-length small rows peaked at 2.7 MB traced at 16 rows, 3.9 at 24
+# and 7.5 at 48, before the groups below. Interleaved sweeps of predict
+# on 512 benchmark rows (one BLAS thread, 2 shared vCPUs, CPU-time
+# medians of 12 rounds) scored 16 and 24 rows about equally fast, 48
+# and 64 rows 18-27% slower, and 8 rows 8-14% slower than 16, from
+# per-call overhead.
 # Bulk scoring passes _SCORE_GROUP tiles per forward_batch call, run
 # layer-major so a layer's weights stay in cache across the group;
 # every tile's states live until the top block, so the group bounds
-# the working set too: on this code the same 512 rows peak at 2.38 MB
-# traced in 1-tile groups, 2.79 in 4-tile and 3.33 in 8-tile groups
+# the working set too. predict may score two groups at once, on two
+# threads (_score_on_two_threads), so the bound is on two groups: the
+# same 512 rows peak at 1.36 MB traced in 1-tile groups on one thread,
+# 1.49 in 2-tile, 1.76 in 4-tile and 2.31 in 8-tile groups, and at
+# 2.43, 2.69, 3.23 and 4.32 MB on two threads, where the working-set
+# test allows 3.15
 _SCORE_TILE = 16
-_SCORE_GROUP = 4
+_SCORE_GROUP = 2
+# rows per chunk of the eval GELU, which runs in place
+_GELU_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -304,22 +313,36 @@ def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
     return params
 
 
-def _gelu_parts(x: np.ndarray, keep_tanh: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(gelu(x), tanh part); the tanh is cached for the backward pass.
-
-    Without ``keep_tanh`` the tanh buffer becomes the output and None
-    is returned in its place, so inference allocates one array less.
-    """
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), tanh part); the tanh is cached for the backward pass."""
     u = x * x
     u *= GELU_CUBIC
     u += 1.0
     u *= x  # x + GELU_CUBIC * x^3
     u *= GELU_C
     t = np.tanh(u, out=u)
-    out = t + 1.0 if keep_tanh else np.add(t, 1.0, out=t)
+    out = t + 1.0
     out *= x
     out *= 0.5
-    return out, (t if keep_tanh else None)
+    return out, t
+
+
+def _gelu_in_place(x: np.ndarray) -> np.ndarray:
+    """``x`` overwritten with gelu(x), with ``_gelu_parts``' bits, and
+    returned. The work runs in ``_GELU_ROWS``-row chunks, so the one
+    temporary stays small however many rows ``x`` has."""
+    for start in range(0, len(x), _GELU_ROWS):
+        chunk = x[start : start + _GELU_ROWS]
+        u = chunk * chunk
+        u *= GELU_CUBIC
+        u += 1.0
+        u *= chunk
+        u *= GELU_C
+        np.tanh(u, out=u)
+        u += 1.0
+        chunk *= u  # x * (t + 1) has the bits of (t + 1) * x
+        chunk *= 0.5
+    return x
 
 
 def _gelu_grad_from(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -437,7 +460,9 @@ def _block_forward(
     the block's two dropout masks and is None when dropout is off. The
     masks are drawn at full ``max_len`` and then cut to the batch width
     and packed, so the random stream does not depend on the layout.
-    Everything not returned is freed on return.
+    Everything not returned is freed on return; without a cache each
+    temporary is dropped as soon as it is dead and the GELU runs in
+    place, since ``predict`` may run two groups of tiles at once.
 
     ``head_only`` (no cache) runs the top block for the head alone:
     keys and values come from every position, but the queries, the
@@ -456,9 +481,10 @@ def _block_forward(
         shape = (n_batch, cfg.n_heads, cfg.max_len, cfg.max_len)
         keep = drop_rng.random(shape) >= cfg.dropout_rate
         prob_drop = keep[:, :, : cols or length, :length] * keep_scale
-    attn_out, _, attn_cache = attn_mod.forward_batched(
+    attn_out, raw, attn_cache = attn_mod.forward_batched(
         layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms, queries=cols
     )
+    del n1, raw
     if head_only:
         # a column-1 slot that is padding reads zeros, as in the grid
         xb = attn_out.reshape(n_batch * cols, -1)
@@ -466,10 +492,15 @@ def _block_forward(
     else:
         xb = layout.gather(attn_out)
         xb += x
+    del attn_out
     n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b, keep_cache)
     pre = n2 @ lay.w1
     pre += lay.b1
-    act, gelu_t = _gelu_parts(pre, keep_cache)
+    if keep_cache:
+        act, gelu_t = _gelu_parts(pre)
+    else:
+        del n2
+        act, gelu_t = _gelu_in_place(pre), None
     ffn_drop = None
     used = act
     if drop_rng is not None:
@@ -861,7 +892,11 @@ def _encode_rows(
 
 
 def _batched_scores(
-    ids: np.ndarray, mask: np.ndarray, params: ModelParams, cfg: ModelConfig
+    ids: np.ndarray,
+    mask: np.ndarray,
+    params: ModelParams,
+    cfg: ModelConfig,
+    helper: bool = False,
 ) -> np.ndarray:
     """Evaluation-mode scores of the encoded rows, in their order.
 
@@ -872,20 +907,80 @@ def _batched_scores(
     and runs them layer-major. Each score lands back at its row's
     position.
 
+    With ``helper`` (``predict`` alone sets it) the groups are shared
+    with one helper thread (``_score_on_two_threads``), on one BLAS
+    thread, when there are two groups or more and
+    ``evaluation._parallel_cpus()`` finds two CPUs or more. The bits
+    are the same: only the thread that scores a group changes.
+
     This is the one eval-mode path: ``forward``, ``predict`` and the
     validation pass of ``train`` all score here, so all of them raise
     NumericOverflow when the forward leaves the float64 range.
     """
     out = np.empty(ids.shape[0], dtype=np.float64)
+    group = _SCORE_GROUP * _SCORE_TILE
     with _refusing_overflow("scoring"):
         if params.relative is None:
             params = _prepared(params, cfg)
         order = np.argsort(mask.sum(axis=1), kind="stable")
-        group = _SCORE_GROUP * _SCORE_TILE
+        if helper and ids.shape[0] > group and eval_mod._parallel_cpus() > 1:
+            with eval_mod._one_blas_thread():
+                _score_on_two_threads(ids, mask, params, cfg, order, out)
+            return out
         for start in range(0, ids.shape[0], group):
             rows = order[start : start + group]
             out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
+
+
+def _score_on_two_threads(
+    ids: np.ndarray,
+    mask: np.ndarray,
+    params: ModelParams,
+    cfg: ModelConfig,
+    order: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``_batched_scores``' groups, scored into ``out`` by this thread and
+    one helper thread, each taking the next group from one cursor.
+
+    Each thread traps overflow itself (NumPy's error state is per
+    thread). The first exception either thread raises, a Ctrl-C here
+    included, is raised here as it was, once the other thread has
+    finished the group it is on; no thread outlives the call. At most
+    two groups are in flight, so the working set is about twice one
+    group's (the figures are at ``_SCORE_GROUP``).
+    """
+    group = _SCORE_GROUP * _SCORE_TILE
+    starts = iter(range(0, ids.shape[0], group))
+    cursor = threading.Lock()
+    errors: list[BaseException] = []
+
+    def score_groups() -> None:
+        try:
+            with _refusing_overflow("scoring"):
+                while not errors:
+                    with cursor:
+                        start = next(starts, None)
+                    if start is None:
+                        return
+                    rows = order[start : start + group]
+                    out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
+        except BaseException as exc:  # raised by the caller, after the join
+            errors.append(exc)
+
+    helper = threading.Thread(target=score_groups, name="phraselab-scoring")
+    try:
+        helper.start()
+        score_groups()
+    finally:
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as exc:  # a Ctrl-C while waiting stops the helper too
+                errors.append(exc)
+    if errors:
+        raise errors[0]
 
 
 def train(
@@ -969,7 +1064,7 @@ def predict(
     Raises NumericOverflow when the forward leaves the float64 range.
     """
     ids, mask, _ = _encode_rows(d, list(indices), vocab, cfg)
-    return _batched_scores(ids, mask, params, cfg)
+    return _batched_scores(ids, mask, params, cfg, helper=True)
 
 
 def model_fold_trainer(

@@ -7,6 +7,8 @@ import json
 import math
 import pickle
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phraselab import evaluation
 from phraselab import model as M
 from phraselab.attention import AttentionConfig, masked_softmax, relative_terms
 from phraselab.errors import (
@@ -927,22 +930,35 @@ def tile_order_case(n_rows):
     return cfg, d, vocab, params, indices
 
 
+def sorted_positions(ids, mask):
+    """Each encoded row's position in bulk scoring's length-sorted
+    order, keyed by the row's ids. Tiles and groups may be scored on
+    two threads in either order, so a recording spy files what it sees
+    under the position of its first row; the rows must be distinct."""
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    where = {ids[row].tobytes(): position for position, row in enumerate(order)}
+    assert len(where) == len(order)
+    return where
+
+
 @pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
 def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
     """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
     rows, whatever ``batch_size`` is, and each score comes back at its
     index's position, matching that row's own forward."""
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
+    where = sorted_positions(*M._encode_rows(d, indices, vocab, cfg)[:2])
 
     tiles = []
     real_tile = M._Tile
 
     def recording(ids, mask, *args, **kwargs):
-        tiles.append(mask.sum(axis=1))
+        tiles.append((where[ids[0].tobytes()], mask.sum(axis=1)))
         return real_tile(ids, mask, *args, **kwargs)
 
     with mock.patch.object(M, "_Tile", recording):
         scores = M.predict(d, indices, params, replace(cfg, batch_size=1), vocab)
+    tiles = [lengths for _, lengths in sorted(tiles, key=lambda tile: tile[0])]
     assert [len(t) for t in tiles] == [
         min(M._SCORE_TILE, n_rows - start) for start in range(0, n_rows, M._SCORE_TILE)
     ]
@@ -961,28 +977,31 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
 @pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
 def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows):
     """Bulk scoring hands ``forward_batch`` groups of ``_SCORE_GROUP``
-    tiles, which run layer-major; every score equals, bit for bit, the
-    one its tile gets from a ``forward_batch`` call of its own."""
+    tiles, which run layer-major, on this thread alone or shared with a
+    helper thread; every score equals, bit for bit, the one its tile
+    gets from a ``forward_batch`` call of its own."""
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    where = sorted_positions(ids, mask)
     order = np.argsort(mask.sum(axis=1), kind="stable")
     want = np.empty(n_rows)
     for start in range(0, n_rows, M._SCORE_TILE):
         rows = order[start : start + M._SCORE_TILE]
         want[rows], _ = M.forward_batch(ids[rows], mask[rows], params, cfg)
 
-    calls = []
     real_forward_batch = M.forward_batch
-
-    def recording(ids, *args, **kwargs):
-        calls.append(len(ids))
-        return real_forward_batch(ids, *args, **kwargs)
-
-    with mock.patch.object(M, "forward_batch", recording):
-        got = M._batched_scores(ids, mask, params, cfg)
     group = M._SCORE_GROUP * M._SCORE_TILE
-    assert calls == [min(group, n_rows - start) for start in range(0, n_rows, group)]
-    assert np.array_equal(got, want)
+    for helper in (False, True):
+        calls = []
+
+        def recording(ids, *args, **kwargs):
+            calls.append((where[ids[0].tobytes()], len(ids)))
+            return real_forward_batch(ids, *args, **kwargs)
+
+        with mock.patch.object(M, "forward_batch", recording):
+            got = M._batched_scores(ids, mask, params, cfg, helper=helper)
+        assert sorted(calls) == [(start, min(group, n_rows - start)) for start in range(0, n_rows, group)]
+        assert np.array_equal(got, want)
 
 
 def test_predict_working_set_is_one_tile_not_all_rows():
@@ -1036,6 +1055,197 @@ def test_library_scoring_of_huge_finite_weights_raises_numeric_overflow(tmp_path
             M.predict(d, range(len(d)), params, cfg, vocab)
     assert not caught
     assert "\n" not in str(by_forward.value) and "\n" not in str(by_predict.value)
+
+
+# ------------------------------------------------- scoring on two threads
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """``predict`` may start its helper thread, whatever CPUs this
+    machine has and whether or not its BLAS can be pinned."""
+    monkeypatch.setattr(evaluation, "_parallel_cpus", lambda: 2)
+
+
+@contextlib.contextmanager
+def started_threads():
+    """The threads started inside, through ``threading.Thread``."""
+    started = []
+    real_thread = threading.Thread
+
+    class Recording(real_thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with mock.patch.object(threading, "Thread", Recording):
+        yield started
+
+
+@contextlib.contextmanager
+def helper_scores_a_group(seen):
+    """``forward_batch`` with the calling thread held back until the
+    helper thread has taken a group, so the helper scores one however
+    the threads are scheduled; each call appends (thread id, BLAS thread
+    count or None) to ``seen``."""
+    caller = threading.get_ident()
+    helper_in = threading.Event()
+    real_forward_batch = M.forward_batch
+    blas = evaluation._blas_thread_functions()
+
+    def waiting(*args, **kwargs):
+        seen.append((threading.get_ident(), blas and blas[1]()))
+        if threading.get_ident() == caller:
+            assert helper_in.wait(timeout=60)
+        else:
+            helper_in.set()
+        return real_forward_batch(*args, **kwargs)
+
+    with mock.patch.object(M, "forward_batch", waiting):
+        yield
+
+
+@pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
+def test_predict_on_two_threads_is_bit_equal_to_the_serial_path(n_rows, two_cpus):
+    cfg, d, vocab, params, indices = tile_order_case(n_rows)
+    ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    with started_threads() as started:
+        got = M.predict(d, indices, params, cfg, vocab)
+    group = M._SCORE_GROUP * M._SCORE_TILE
+    assert len(started) == (1 if n_rows > group else 0)
+    assert np.array_equal(got, M._batched_scores(ids, mask, params, cfg))
+
+
+def test_golden_rows_keep_their_bits_on_two_threads(two_cpus):
+    golden = json.loads(GOLDEN_ROWS.read_text(encoding="utf-8"))
+    cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
+    ids = np.array(golden["ids"])
+    mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
+    copies = 12  # 72 rows, three groups
+    assert len(ids) * copies > 2 * M._SCORE_GROUP * M._SCORE_TILE
+    with started_threads() as started:
+        got = M._batched_scores(
+            np.tile(ids, (copies, 1)), np.tile(mask, (copies, 1)), M.init_params(cfg), cfg, helper=True
+        )
+    assert len(started) == 1
+    assert [float(s).hex() for s in got] == golden["row_scores"] * copies
+
+
+def test_huge_finite_weights_raise_numeric_overflow_on_the_helper_thread_too(tmp_path, two_cpus):
+    """NumPy's error state does not pass to a new thread: the helper
+    traps overflow itself, so its group raises instead of warning and
+    scoring infinities."""
+    params, cfg = huge_token_table_checkpoint(tmp_path / "huge.ckpt")
+    d = mixed_length_dataset(3 * M._SCORE_GROUP * M._SCORE_TILE + 1)
+    vocab = build_vocab(d)
+    seen = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with helper_scores_a_group(seen), pytest.raises(NumericOverflow) as excinfo:
+            M.predict(d, range(len(d)), params, cfg, vocab)
+    assert any(thread != threading.get_ident() for thread, _ in seen)  # the helper scored
+    assert not caught
+    message = str(excinfo.value)
+    assert message.startswith("scoring left the float64 range (") and "\n" not in message
+    assert message.endswith("); the weights are too large")
+
+
+@pytest.mark.parametrize("raised", [ShapeMismatch("stand-in failure"), KeyboardInterrupt()])
+def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised, two_cpus):
+    """The first call raises (a KeyboardInterrupt in the caller, an
+    error in whichever thread scores first): it propagates as it was,
+    the other thread scores at most the group it is on, and no thread
+    is left running."""
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    caller = threading.get_ident()
+    calls = []
+    raised_at = []
+    real_forward_batch = M.forward_batch
+
+    def failing_first(*args, **kwargs):
+        calls.append(threading.get_ident())
+        on_caller = isinstance(raised, KeyboardInterrupt)
+        if not raised_at and (threading.get_ident() == caller or not on_caller):
+            raised_at.append(len(calls))
+            raise raised
+        return real_forward_batch(*args, **kwargs)
+
+    before = threading.active_count()
+    with mock.patch.object(M, "forward_batch", failing_first), pytest.raises(type(raised)) as excinfo:
+        M.predict(d, indices, params, cfg, vocab)
+    assert excinfo.value is raised
+    # the failing call, then at most the other thread's group in flight
+    assert len(calls) <= raised_at[0] + 1
+    assert threading.active_count() == before
+
+
+def test_only_predict_of_two_groups_or_more_starts_a_thread(monkeypatch, two_cpus):
+    cfg, d, vocab, params, indices = tile_order_case(150)
+    rec = d.records[indices[0]]
+    seq = encode(rec.anchor, rec.target, rec.context, vocab, cfg.max_len)
+    group = M._SCORE_GROUP * M._SCORE_TILE
+    before = threading.active_count()
+    with started_threads() as started:
+        M.forward(seq, params, cfg)
+        # a validation side of three groups still scores on this thread
+        M.train(d, (indices[: 150 - 3 * group], indices[150 - 3 * group :]), replace(cfg, epochs=1))
+        M.predict(d, indices[:group], params, cfg, vocab)
+        monkeypatch.setattr(evaluation, "_parallel_cpus", lambda: 1)
+        M.predict(d, indices, params, cfg, vocab)
+    assert started == []
+    monkeypatch.setattr(evaluation, "_parallel_cpus", lambda: 2)
+    with started_threads() as started:
+        M.predict(d, indices, params, cfg, vocab)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_each_group_is_scored_once_under_rapid_thread_switching(two_cpus):
+    """The shared cursor hands every group to exactly one thread, even
+    when the interpreter switches threads at every chance."""
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    where = sorted_positions(ids, mask)
+    want = M._batched_scores(ids, mask, params, cfg)
+    group = M._SCORE_GROUP * M._SCORE_TILE
+    real_forward_batch = M.forward_batch
+    calls = []
+
+    def recording(ids, *args, **kwargs):
+        calls.append(where[ids[0].tobytes()])
+        return real_forward_batch(ids, *args, **kwargs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(M, "forward_batch", recording):
+            for _ in range(20):
+                calls.clear()
+                got = M._batched_scores(ids, mask, params, cfg, helper=True)
+                assert sorted(calls) == list(range(0, len(ids), group))
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_scoring_threads_run_one_blas_thread(two_cpus):
+    functions = evaluation._blas_thread_functions()
+    if functions is None:
+        pytest.skip("NumPy's BLAS exports no OpenBLAS thread setter and getter")
+    setter, getter = functions
+    before = getter()
+    setter(2)
+    try:
+        if getter() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads")
+        cfg, d, vocab, params, indices = tile_order_case(150)
+        seen = []
+        with helper_scores_a_group(seen):
+            M.predict(d, indices, params, cfg, vocab)
+        assert any(thread != threading.get_ident() for thread, _ in seen)  # the helper scored
+        assert {count for _, count in seen} == {1}
+        assert getter() == 2
+    finally:
+        setter(before)
 
 
 # ---------------------------------------------------------------- training
