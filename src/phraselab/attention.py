@@ -103,9 +103,9 @@ class AttentionParams:
 class RelativeTerms:
     """The part of one module's scores that only the weights decide.
 
-    ``rel`` (2, 1, H, dh, 2k) stacks ``kr`` and ``qr`` transposed, so
-    one product of the stacked query and key contents gives both bucket
-    fields; ``qr`` and ``kr`` (H, 2k, dh), the relative table projected
+    ``rel`` (2, 1, H, dh, 2k) stacks ``kr`` and ``qr`` transposed, the
+    right operands of the query and key contents' bucket-field products;
+    ``qr`` and ``kr`` (H, 2k, dh), the relative table projected
     by ``wq_r`` and ``wk_r`` and split into heads, are views of it.
     ``p2p`` (H, L, L) is the position-to-position term gathered per
     (query, key) pair up to some length L, and None without that term.
@@ -376,17 +376,11 @@ def forward_batched(
     # per (query, key) pair: the first field query indexed, the second
     # key indexed
     raw = qc @ kc.swapaxes(-1, -2)
-    if keep_cache:
-        # one product gives both bucket fields
-        buckets = (proj[:2] @ terms.rel).reshape(2, n_batch, n_heads, -1)
-        raw += buckets[0].take(q_take, axis=-1)
-        raw += buckets[1].take(k_take, axis=-1)
-    else:
-        # one field at a time, each freed before the next is made, with
-        # the bits of the stacked product: eval scoring may run two
-        # groups of tiles at once, so its temporaries die early
-        raw += (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1).take(q_take, axis=-1)
-        raw += (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1).take(k_take, axis=-1)
+    # one field at a time, each freed before the next is made: eval
+    # scoring may run two groups of tiles at once, so its temporaries die
+    # early
+    raw += (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1).take(q_take, axis=-1)
+    raw += (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1).take(k_take, axis=-1)
     if cfg.include_p2p:
         raw += terms.p2p[:, :queries, :length]
 

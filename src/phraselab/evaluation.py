@@ -24,6 +24,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -50,6 +51,10 @@ _OPENBLAS_SETTERS = (
 )
 # prctl(2) option: the signal a process gets when its parent dies
 _PR_SET_PDEATHSIG = 1
+# _one_blas_thread's pins open now, and the count the first one saved
+_blas_pin_lock = threading.Lock()
+_blas_pins = 0
+_blas_saved_threads = 0
 
 
 def pearson(y: Sequence[float], yhat: Sequence[float]) -> float:
@@ -244,19 +249,30 @@ def _parallel_cpus() -> int:
 def _one_blas_thread():
     """The BLAS runs one thread inside the block, so each parallel worker
     (a fold process, a scoring thread) runs one; the caller's count comes
-    back when the block ends, however it ends. A no-op where the count
-    cannot be pinned, where ``_parallel_cpus`` keeps the work serial."""
+    back when the block ends, however it ends. The count is process-wide,
+    so every other thread's BLAS work runs one thread meanwhile too.
+    Blocks may overlap, in one thread or several, and end in any order:
+    the first to open saves the count and the last to end restores it.
+    A no-op where the count cannot be pinned, where ``_parallel_cpus``
+    keeps the work serial."""
+    global _blas_pins, _blas_saved_threads
     blas = _blas_thread_functions()
     if blas is None:
         yield
         return
     set_threads, get_threads = blas
-    threads = get_threads()
-    set_threads(1)
+    with _blas_pin_lock:
+        if not _blas_pins:
+            _blas_saved_threads = get_threads()
+            set_threads(1)
+        _blas_pins += 1
     try:
         yield
     finally:
-        set_threads(threads)
+        with _blas_pin_lock:
+            _blas_pins -= 1
+            if not _blas_pins:
+                set_threads(_blas_saved_threads)
 
 
 def _fold_workers(k: int) -> int:

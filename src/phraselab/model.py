@@ -313,14 +313,20 @@ def init_params(cfg: ModelConfig, rows: Optional[int] = None) -> ModelParams:
     return params
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), tanh part); the tanh is cached for the backward pass."""
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(GELU_C * (x + GELU_CUBIC * x^3)), GELU's tanh part, in a new
+    array."""
     u = x * x
     u *= GELU_CUBIC
     u += 1.0
     u *= x  # x + GELU_CUBIC * x^3
     u *= GELU_C
-    t = np.tanh(u, out=u)
+    return np.tanh(u, out=u)
+
+
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), tanh part); the tanh is cached for the backward pass."""
+    t = _gelu_tanh(x)
     out = t + 1.0
     out *= x
     out *= 0.5
@@ -333,12 +339,7 @@ def _gelu_in_place(x: np.ndarray) -> np.ndarray:
     temporary stays small however many rows ``x`` has."""
     for start in range(0, len(x), _GELU_ROWS):
         chunk = x[start : start + _GELU_ROWS]
-        u = chunk * chunk
-        u *= GELU_CUBIC
-        u += 1.0
-        u *= chunk
-        u *= GELU_C
-        np.tanh(u, out=u)
+        u = _gelu_tanh(chunk)
         u += 1.0
         chunk *= u  # x * (t + 1) has the bits of (t + 1) * x
         chunk *= 0.5
@@ -954,14 +955,15 @@ def _score_on_two_threads(
     group = _SCORE_GROUP * _SCORE_TILE
     starts = iter(range(0, ids.shape[0], group))
     cursor = threading.Lock()
-    errors: list[BaseException] = []
+    errors: list[BaseException] = []  # also the stop flag: no group is taken once it fills
+    helper_done = threading.Event()
 
     def score_groups() -> None:
         try:
             with _refusing_overflow("scoring"):
-                while not errors:
+                while True:
                     with cursor:
-                        start = next(starts, None)
+                        start = None if errors else next(starts, None)
                     if start is None:
                         return
                     rows = order[start : start + group]
@@ -969,16 +971,31 @@ def _score_on_two_threads(
         except BaseException as exc:  # raised by the caller, after the join
             errors.append(exc)
 
-    helper = threading.Thread(target=score_groups, name="phraselab-scoring")
+    def helper_groups() -> None:
+        try:
+            score_groups()
+        finally:
+            helper_done.set()
+
+    helper = threading.Thread(target=helper_groups, name="phraselab-scoring")
     try:
         helper.start()
         score_groups()
-    finally:
-        while helper.is_alive():
-            try:
-                helper.join()
-            except BaseException as exc:  # a Ctrl-C while waiting stops the helper too
-                errors.append(exc)
+    except BaseException as exc:  # a Ctrl-C inside start() or between score_groups' handlers
+        errors.append(exc)
+    # A start() that a Ctrl-C cut short may have launched the thread
+    # before marking it started, when is_alive() reads False and join()
+    # refuses it: wait for its work to end whenever it has an ident, then
+    # join it. One launched without an ident yet finds the error and
+    # takes no group.
+    launched = helper.ident is not None
+    while launched:
+        try:
+            helper_done.wait()
+            helper.join()
+            break
+        except BaseException as exc:  # a Ctrl-C while waiting stops the helper too
+            errors.append(exc)
     if errors:
         raise errors[0]
 

@@ -629,6 +629,26 @@ def test_the_blas_count_comes_back_when_a_submit_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_overlapping_pins_restore_the_count_once_the_last_one_ends(monkeypatch):
+    """Two pins that end in the order they began, as two overlapping
+    ``predict`` calls on two threads may: the count the first one found
+    comes back when the last one ends, not the pinned count."""
+    counts = [3]
+    monkeypatch.setattr(ev, "_blas_thread_functions", lambda: (counts.append, lambda: counts[-1]))
+    first, second = ev._one_blas_thread(), ev._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    assert counts[-1] == 1
+    first.__exit__(None, None, None)
+    assert counts[-1] == 1  # the second pin is still open
+    second.__exit__(None, None, None)
+    assert counts == [3, 1, 3]
+    with ev._one_blas_thread():
+        with ev._one_blas_thread():
+            assert counts[-1] == 1
+    assert counts == [3, 1, 3, 1, 3]
+
+
 # ------------------------------------------------------------ baseline folds
 
 def test_baseline_folds_train_in_this_process(monkeypatch):

@@ -9,6 +9,7 @@ import pickle
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -1027,6 +1028,30 @@ def test_predict_working_set_is_one_tile_not_all_rows():
     assert peak < 4_000_000
 
 
+def test_predict_working_set_holds_with_both_threads_scoring():
+    """The bounds of the test above with the helper thread made to
+    score: two groups in flight stay below them on any host, and on
+    one whose BLAS cannot be pinned."""
+    cfg = replace(M.presets("small"), batch_size=512)
+    d = mixed_length_dataset(512, words=(6, 6))
+    vocab = build_vocab(d)
+    params = M.init_params(cfg, rows=len(vocab))
+    tile_ffn_bytes = 3 * M._SCORE_TILE * cfg.max_len * cfg.ffn_dim * 8
+    M.predict(d, range(4), params, cfg, vocab)  # one-time allocations stay out of the trace
+    seen = []
+    with mock.patch.object(evaluation, "_parallel_cpus", lambda: 2), helper_scores_a_group(seen):
+        tracemalloc.start()
+        try:
+            scores = M.predict(d, range(len(d)), params, cfg, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert scores.shape == (len(d),)
+    assert len({thread for thread, _ in seen}) == 2  # both threads scored
+    assert peak < 2 * tile_ffn_bytes
+    assert peak < 4_000_000
+
+
 def huge_token_table_checkpoint(path):
     """A saved and reloaded checkpoint whose token table holds +-1e200 in
     alternating signs: finite, so loading accepts it, but the first
@@ -1176,6 +1201,83 @@ def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised,
     # the failing call, then at most the other thread's group in flight
     assert len(calls) <= raised_at[0] + 1
     assert threading.active_count() == before
+
+
+def test_a_ctrl_c_inside_thread_start_still_waits_for_the_helper(two_cpus):
+    """A Ctrl-C can land in ``Thread.start`` after the thread is launched
+    but before it is marked started, when ``is_alive`` reads False: the
+    Ctrl-C propagates, the helper scores at most the group it took, and
+    it is joined before ``predict`` raises."""
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    caller = threading.get_ident()
+    helper_calls = []
+    real_forward_batch = M.forward_batch
+    real_thread = threading.Thread
+    interrupt = KeyboardInterrupt()
+
+    class InterruptedStart(real_thread):
+        def start(self):
+            super().start()
+            raise interrupt
+
+        def is_alive(self):
+            return False
+
+    def slow_on_the_helper(*args, **kwargs):
+        assert threading.get_ident() != caller  # the caller scores nothing
+        helper_calls.append(1)
+        time.sleep(0.05)
+        return real_forward_batch(*args, **kwargs)
+
+    before = threading.active_count()
+    with mock.patch.object(threading, "Thread", InterruptedStart), \
+            mock.patch.object(M, "forward_batch", slow_on_the_helper), \
+            pytest.raises(KeyboardInterrupt) as excinfo:
+        M.predict(d, indices, params, cfg, vocab)
+    assert excinfo.value is interrupt
+    assert threading.active_count() == before
+    assert len(helper_calls) <= 1
+    time.sleep(0.1)
+    assert len(helper_calls) <= 1  # nothing ran on after the call
+
+
+def test_two_overlapping_predict_calls_keep_their_bits_and_the_blas_count(two_cpus):
+    """Two threads run ``predict`` at once, both past their BLAS pin
+    before either scores: each scores what it scores alone, and the BLAS
+    thread count is back afterwards whichever call ends first."""
+    functions = evaluation._blas_thread_functions()
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    want = M.predict(d, indices, params, cfg, vocab)
+    both_pinned = threading.Barrier(2)
+    real_score_on_two_threads = M._score_on_two_threads
+
+    def meeting(*args, **kwargs):
+        both_pinned.wait(timeout=60)
+        return real_score_on_two_threads(*args, **kwargs)
+
+    got = [None, None]
+
+    def call(slot):
+        got[slot] = M.predict(d, indices, params, cfg, vocab)
+
+    before = functions[1]() if functions else None
+    if functions:
+        functions[0](2)  # a count the pin changes
+    try:
+        expected = functions[1]() if functions else None
+        threads = [threading.Thread(target=call, args=(slot,)) for slot in (0, 1)]
+        with mock.patch.object(M, "_score_on_two_threads", meeting):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        if functions:
+            assert functions[1]() == expected
+    finally:
+        if functions:
+            functions[0](before)
+    assert all(np.array_equal(scores, want) for scores in got)
 
 
 def test_only_predict_of_two_groups_or_more_starts_a_thread(monkeypatch, two_cpus):
