@@ -377,7 +377,7 @@ def forward_batched(
     # key indexed
     raw = qc @ kc.swapaxes(-1, -2)
     # one field at a time, each freed before the next is made: eval
-    # scoring may run two groups of tiles at once, so its temporaries die
+    # scoring may run two tiles at once, so its temporaries die
     # early
     raw += (qc @ terms.rel[0]).reshape(n_batch, n_heads, -1).take(q_take, axis=-1)
     raw += (kc @ terms.rel[1]).reshape(n_batch, n_heads, -1).take(k_take, axis=-1)

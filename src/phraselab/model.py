@@ -54,24 +54,21 @@ GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
 # rows per tile in eval scoring. Each block allocates temporaries
-# that grow with the rows, so the tile bounds the working set: 512
-# full-length small rows peaked at 2.7 MB traced at 16 rows, 3.9 at 24
-# and 7.5 at 48, before the groups below. Interleaved sweeps of predict
-# on 512 benchmark rows (one BLAS thread, 2 shared vCPUs, CPU-time
-# medians of 12 rounds) scored 16 and 24 rows about equally fast, 48
-# and 64 rows 18-27% slower, and 8 rows 8-14% slower than 16, from
-# per-call overhead.
-# Bulk scoring passes _SCORE_GROUP tiles per forward_batch call, run
-# layer-major so a layer's weights stay in cache across the group;
-# every tile's states live until the top block, so the group bounds
-# the working set too. predict may score two groups at once, on two
-# threads (_score_on_two_threads), so the bound is on two groups: the
-# same 512 rows peak at 1.36 MB traced in 1-tile groups on one thread,
-# 1.49 in 2-tile, 1.76 in 4-tile and 2.31 in 8-tile groups, and at
-# 2.43, 2.69, 3.23 and 4.32 MB on two threads, where the working-set
-# test allows 3.15
-_SCORE_TILE = 16
-_SCORE_GROUP = 2
+# that grow with the rows, so the tile bounds the working set, and
+# every tile's states stay alive until the top block. Bulk scoring
+# hands forward_batch one tile per call, and predict may score two
+# tiles at once, on two threads (_score_on_two_threads), so the bound
+# is on two tiles: 512 full-length small rows peak at 2.05 MB traced
+# at 24 rows on one thread and 3.47 MB on two (2.58 and 4.53 at 32,
+# 3.63 and 6.63 at 48), where the working-set test allows 4.0.
+# On one thread the sizes from 16 rows up do not rank apart: their
+# rates spread more between rounds than between sizes.
+# On two, larger tiles score faster: a block makes ~50 NumPy calls per
+# tile whatever its rows, and the threads take turns at the GIL for
+# the Python work around each call (inferred from the rates, not
+# traced). 512 benchmark rows (one BLAS thread, 2 shared vCPUs) read
+# 1.27x the one-thread rate at 16-row tiles in pairs and 1.46x at 24.
+_SCORE_TILE = 24
 # rows per chunk of the eval GELU, which runs in place
 _GELU_ROWS = 64
 
@@ -463,7 +460,7 @@ def _block_forward(
     and packed, so the random stream does not depend on the layout.
     Everything not returned is freed on return; without a cache each
     temporary is dropped as soon as it is dead and the GELU runs in
-    place, since ``predict`` may run two groups of tiles at once.
+    place, since ``predict`` may run two tiles at once.
 
     ``head_only`` (no cache) runs the top block for the head alone:
     keys and values come from every position, but the queries, the
@@ -661,8 +658,8 @@ def forward_batch(
     a row's bits do not depend on the other rows of a product that
     holds two rows or more (``_head_only_keeps_bits`` has the widths
     this needs). Every tile's states stay alive until the top block,
-    so ``_batched_scores`` passes at most ``_SCORE_GROUP`` tiles per
-    call.
+    so ``_batched_scores`` passes one tile per call; the tile loop
+    serves direct callers with more rows.
 
     Every tile first drops the trailing columns that are padding in
     every row, then packs the real positions (and column 0 of each
@@ -904,32 +901,30 @@ def _batched_scores(
     The rows are sorted by real length (stably) and scored in
     consecutive tiles of ``_SCORE_TILE``, so each tile trims to little
     padding and its temporaries stay the same size however many rows
-    there are. ``forward_batch`` takes ``_SCORE_GROUP`` tiles per call
-    and runs them layer-major. Each score lands back at its row's
-    position.
+    there are. ``forward_batch`` takes one tile per call. Each score
+    lands back at its row's position.
 
-    With ``helper`` (``predict`` alone sets it) the groups are shared
+    With ``helper`` (``predict`` alone sets it) the tiles are shared
     with one helper thread (``_score_on_two_threads``), on one BLAS
-    thread, when there are two groups or more and
+    thread, when there are two tiles or more and
     ``evaluation._parallel_cpus()`` finds two CPUs or more. The bits
-    are the same: only the thread that scores a group changes.
+    are the same: only the thread that scores a tile changes.
 
     This is the one eval-mode path: ``forward``, ``predict`` and the
     validation pass of ``train`` all score here, so all of them raise
     NumericOverflow when the forward leaves the float64 range.
     """
     out = np.empty(ids.shape[0], dtype=np.float64)
-    group = _SCORE_GROUP * _SCORE_TILE
     with _refusing_overflow("scoring"):
         if params.relative is None:
             params = _prepared(params, cfg)
         order = np.argsort(mask.sum(axis=1), kind="stable")
-        if helper and ids.shape[0] > group and eval_mod._parallel_cpus() > 1:
+        if helper and ids.shape[0] > _SCORE_TILE and eval_mod._parallel_cpus() > 1:
             with eval_mod._one_blas_thread():
                 _score_on_two_threads(ids, mask, params, cfg, order, out)
             return out
-        for start in range(0, ids.shape[0], group):
-            rows = order[start : start + group]
+        for start in range(0, ids.shape[0], _SCORE_TILE):
+            rows = order[start : start + _SCORE_TILE]
             out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
 
@@ -942,23 +937,22 @@ def _score_on_two_threads(
     order: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """``_batched_scores``' groups, scored into ``out`` by this thread and
-    one helper thread, each taking the next group from one cursor.
+    """``_batched_scores``' tiles, scored into ``out`` by this thread and
+    one helper thread, each taking the next tile from one cursor.
 
     Each thread traps overflow itself (NumPy's error state is per
     thread). The first exception either thread raises, a Ctrl-C here
     included, is raised here as it was, once the other thread has
-    finished the group it is on; no thread outlives the call. At most
-    two groups are in flight, so the working set is about twice one
-    group's (the figures are at ``_SCORE_GROUP``).
+    finished the tile it is on; no thread outlives the call. At most
+    two tiles are in flight, so the working set is about twice one
+    tile's (the figures are at ``_SCORE_TILE``).
     """
-    group = _SCORE_GROUP * _SCORE_TILE
-    starts = iter(range(0, ids.shape[0], group))
+    starts = iter(range(0, ids.shape[0], _SCORE_TILE))
     cursor = threading.Lock()
-    errors: list[BaseException] = []  # also the stop flag: no group is taken once it fills
+    errors: list[BaseException] = []  # also the stop flag: no tile is taken once it fills
     helper_done = threading.Event()
 
-    def score_groups() -> None:
+    def score_tiles() -> None:
         try:
             with _refusing_overflow("scoring"):
                 while True:
@@ -966,28 +960,28 @@ def _score_on_two_threads(
                         start = None if errors else next(starts, None)
                     if start is None:
                         return
-                    rows = order[start : start + group]
+                    rows = order[start : start + _SCORE_TILE]
                     out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
         except BaseException as exc:  # raised by the caller, after the join
             errors.append(exc)
 
-    def helper_groups() -> None:
+    def helper_tiles() -> None:
         try:
-            score_groups()
+            score_tiles()
         finally:
             helper_done.set()
 
-    helper = threading.Thread(target=helper_groups, name="phraselab-scoring")
+    helper = threading.Thread(target=helper_tiles, name="phraselab-scoring")
     try:
         helper.start()
-        score_groups()
-    except BaseException as exc:  # a Ctrl-C inside start() or between score_groups' handlers
+        score_tiles()
+    except BaseException as exc:  # a Ctrl-C inside start() or between score_tiles' handlers
         errors.append(exc)
     # A start() that a Ctrl-C cut short may have launched the thread
     # before marking it started, when is_alive() reads False and join()
     # refuses it: wait for its work to end whenever it has an ident, then
     # join it. One launched without an ident yet finds the error and
-    # takes no group.
+    # takes no tile.
     launched = helper.ident is not None
     while launched:
         try:

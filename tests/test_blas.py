@@ -24,6 +24,8 @@ any golden score moves.
 import numpy as np
 import pytest
 
+from phraselab import model
+
 # (K, N) of the products the eval forward runs: the small preset's
 # d_model 64 and FFN 256 (the xsmall preset's 32 and 128), per-head
 # width 16 (8), 16 relative buckets and sequence lengths 4 to 16
@@ -31,7 +33,7 @@ WIDE = [
     (64, 64), (64, 192), (64, 256), (256, 64), (32, 32), (32, 128), (128, 32),
     (16, 16), (16, 4), (16, 7), (16, 13), (4, 16), (7, 16), (13, 16), (8, 8), (8, 16),
 ]
-TALL = 256  # a 16-row tile of full-length rows
+TALL = model._SCORE_TILE * 16  # a tile of full-length rows
 
 
 def row_sets(rng, tall):
@@ -67,12 +69,14 @@ def test_scores_of_a_short_batch_keep_their_bits_at_two_query_rows(length, d_hea
 @pytest.mark.parametrize("length", [2, 7, 16])
 def test_stacked_per_head_products_keep_their_rows_bits(length):
     """The attention's (B, H, ...) products of two query rows against
-    those of every row: scores, bucket fields and the value mix."""
+    those of every row of a tile: scores, bucket fields and the value
+    mix."""
     rng = np.random.default_rng(length)
-    q = rng.normal(0.0, 1.0, (16, 4, length, 16))
-    k = rng.normal(0.0, 1.0, (16, 4, length, 16))
+    batch = model._SCORE_TILE
+    q = rng.normal(0.0, 1.0, (batch, 4, length, 16))
+    k = rng.normal(0.0, 1.0, (batch, 4, length, 16))
     rel = rng.normal(0.0, 1.0, (1, 4, 16, 16))
-    probs = rng.random((16, 4, length, length))
+    probs = rng.random((batch, 4, length, length))
     for full, cut in (
         (q @ k.swapaxes(-1, -2), q[:, :, :2] @ k.swapaxes(-1, -2)),
         (q @ rel, q[:, :, :2] @ rel),

@@ -912,10 +912,10 @@ def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
     )
 
 
-# around the first tile's end and the third's
-TILE_ROW_COUNTS = [0, 1, 150] + [
-    tiles * M._SCORE_TILE + extra for tiles in (1, 3) for extra in (-1, 0, 1)
-]
+# inside the first tile, and around the end of each of the first three
+TILE_ROW_COUNTS = sorted({0, 1, 15, 16, 17, 150} | {
+    tiles * M._SCORE_TILE + extra for tiles in (1, 2, 3) for extra in (-1, 0, 1)
+})
 
 
 def tile_order_case(n_rows):
@@ -933,7 +933,7 @@ def tile_order_case(n_rows):
 
 def sorted_positions(ids, mask):
     """Each encoded row's position in bulk scoring's length-sorted
-    order, keyed by the row's ids. Tiles and groups may be scored on
+    order, keyed by the row's ids. Tiles may be scored on
     two threads in either order, so a recording spy files what it sees
     under the position of its first row; the rows must be distinct."""
     order = np.argsort(mask.sum(axis=1), kind="stable")
@@ -976,11 +976,14 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
 
 
 @pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
-def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows):
-    """Bulk scoring hands ``forward_batch`` groups of ``_SCORE_GROUP``
-    tiles, which run layer-major, on this thread alone or shared with a
-    helper thread; every score equals, bit for bit, the one its tile
-    gets from a ``forward_batch`` call of its own."""
+def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows, two_cpus):
+    """Bulk scoring, on this thread alone or shared with a helper thread,
+    calls ``forward_batch`` once per tile: at most ``_SCORE_TILE`` rows
+    starting at a multiple of it in the length-sorted order, each tile
+    once. Every score equals, bit for bit, the one its tile gets from a
+    ``forward_batch`` call of its own, and a direct ``forward_batch`` of
+    all the sorted rows, which runs its tiles layer-major, gives each
+    tile's bits too."""
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
     where = sorted_positions(ids, mask)
@@ -989,19 +992,23 @@ def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows):
     for start in range(0, n_rows, M._SCORE_TILE):
         rows = order[start : start + M._SCORE_TILE]
         want[rows], _ = M.forward_batch(ids[rows], mask[rows], params, cfg)
+    layer_major, _ = M.forward_batch(ids[order], mask[order], params, cfg)
+    assert np.array_equal(layer_major, want[order])
 
     real_forward_batch = M.forward_batch
-    group = M._SCORE_GROUP * M._SCORE_TILE
+    tiles = [(start, min(M._SCORE_TILE, n_rows - start)) for start in range(0, n_rows, M._SCORE_TILE)]
     for helper in (False, True):
         calls = []
 
         def recording(ids, *args, **kwargs):
-            calls.append((where[ids[0].tobytes()], len(ids)))
+            calls.append((where[ids[0].tobytes()], len(ids), threading.get_ident()))
             return real_forward_batch(ids, *args, **kwargs)
 
         with mock.patch.object(M, "forward_batch", recording):
             got = M._batched_scores(ids, mask, params, cfg, helper=helper)
-        assert sorted(calls) == [(start, min(group, n_rows - start)) for start in range(0, n_rows, group)]
+        assert sorted(call[:2] for call in calls) == tiles
+        if not helper:
+            assert {call[2] for call in calls} <= {threading.get_ident()}
         assert np.array_equal(got, want)
 
 
@@ -1109,7 +1116,7 @@ def started_threads():
 @contextlib.contextmanager
 def helper_scores_a_group(seen):
     """``forward_batch`` with the calling thread held back until the
-    helper thread has taken a group, so the helper scores one however
+    helper thread has taken a tile, so the helper scores one however
     the threads are scheduled; each call appends (thread id, BLAS thread
     count or None) to ``seen``."""
     caller = threading.get_ident()
@@ -1135,8 +1142,7 @@ def test_predict_on_two_threads_is_bit_equal_to_the_serial_path(n_rows, two_cpus
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
     with started_threads() as started:
         got = M.predict(d, indices, params, cfg, vocab)
-    group = M._SCORE_GROUP * M._SCORE_TILE
-    assert len(started) == (1 if n_rows > group else 0)
+    assert len(started) == (1 if n_rows > M._SCORE_TILE else 0)
     assert np.array_equal(got, M._batched_scores(ids, mask, params, cfg))
 
 
@@ -1145,8 +1151,8 @@ def test_golden_rows_keep_their_bits_on_two_threads(two_cpus):
     cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
     ids = np.array(golden["ids"])
     mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
-    copies = 12  # 72 rows, three groups
-    assert len(ids) * copies > 2 * M._SCORE_GROUP * M._SCORE_TILE
+    copies = 12  # 72 rows, three tiles
+    assert len(ids) * copies > 2 * M._SCORE_TILE
     with started_threads() as started:
         got = M._batched_scores(
             np.tile(ids, (copies, 1)), np.tile(mask, (copies, 1)), M.init_params(cfg), cfg, helper=True
@@ -1157,10 +1163,10 @@ def test_golden_rows_keep_their_bits_on_two_threads(two_cpus):
 
 def test_huge_finite_weights_raise_numeric_overflow_on_the_helper_thread_too(tmp_path, two_cpus):
     """NumPy's error state does not pass to a new thread: the helper
-    traps overflow itself, so its group raises instead of warning and
+    traps overflow itself, so its tile raises instead of warning and
     scoring infinities."""
     params, cfg = huge_token_table_checkpoint(tmp_path / "huge.ckpt")
-    d = mixed_length_dataset(3 * M._SCORE_GROUP * M._SCORE_TILE + 1)
+    d = mixed_length_dataset(3 * M._SCORE_TILE + 1)
     vocab = build_vocab(d)
     seen = []
     with warnings.catch_warnings(record=True) as caught:
@@ -1178,9 +1184,9 @@ def test_huge_finite_weights_raise_numeric_overflow_on_the_helper_thread_too(tmp
 def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised, two_cpus):
     """The first call raises (a KeyboardInterrupt in the caller, an
     error in whichever thread scores first): it propagates as it was,
-    the other thread scores at most the group it is on, and no thread
+    the other thread scores at most the tile it is on, and no thread
     is left running."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
     caller = threading.get_ident()
     calls = []
     raised_at = []
@@ -1198,7 +1204,7 @@ def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised,
     with mock.patch.object(M, "forward_batch", failing_first), pytest.raises(type(raised)) as excinfo:
         M.predict(d, indices, params, cfg, vocab)
     assert excinfo.value is raised
-    # the failing call, then at most the other thread's group in flight
+    # the failing call, then at most the other thread's tile in flight
     assert len(calls) <= raised_at[0] + 1
     assert threading.active_count() == before
 
@@ -1206,9 +1212,9 @@ def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised,
 def test_a_ctrl_c_inside_thread_start_still_waits_for_the_helper(two_cpus):
     """A Ctrl-C can land in ``Thread.start`` after the thread is launched
     but before it is marked started, when ``is_alive`` reads False: the
-    Ctrl-C propagates, the helper scores at most the group it took, and
+    Ctrl-C propagates, the helper scores at most the tile it took, and
     it is joined before ``predict`` raises."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
     caller = threading.get_ident()
     helper_calls = []
     real_forward_batch = M.forward_batch
@@ -1246,7 +1252,7 @@ def test_two_overlapping_predict_calls_keep_their_bits_and_the_blas_count(two_cp
     before either scores: each scores what it scores alone, and the BLAS
     thread count is back afterwards whichever call ends first."""
     functions = evaluation._blas_thread_functions()
-    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
     want = M.predict(d, indices, params, cfg, vocab)
     both_pinned = threading.Barrier(2)
     real_score_on_two_threads = M._score_on_two_threads
@@ -1280,17 +1286,17 @@ def test_two_overlapping_predict_calls_keep_their_bits_and_the_blas_count(two_cp
     assert all(np.array_equal(scores, want) for scores in got)
 
 
-def test_only_predict_of_two_groups_or_more_starts_a_thread(monkeypatch, two_cpus):
+def test_only_predict_of_two_tiles_or_more_starts_a_thread(monkeypatch, two_cpus):
     cfg, d, vocab, params, indices = tile_order_case(150)
     rec = d.records[indices[0]]
     seq = encode(rec.anchor, rec.target, rec.context, vocab, cfg.max_len)
-    group = M._SCORE_GROUP * M._SCORE_TILE
+    tile = M._SCORE_TILE
     before = threading.active_count()
     with started_threads() as started:
         M.forward(seq, params, cfg)
-        # a validation side of three groups still scores on this thread
-        M.train(d, (indices[: 150 - 3 * group], indices[150 - 3 * group :]), replace(cfg, epochs=1))
-        M.predict(d, indices[:group], params, cfg, vocab)
+        # a validation side of three tiles still scores on this thread
+        M.train(d, (indices[: 150 - 3 * tile], indices[150 - 3 * tile :]), replace(cfg, epochs=1))
+        M.predict(d, indices[:tile], params, cfg, vocab)
         monkeypatch.setattr(evaluation, "_parallel_cpus", lambda: 1)
         M.predict(d, indices, params, cfg, vocab)
     assert started == []
@@ -1302,13 +1308,12 @@ def test_only_predict_of_two_groups_or_more_starts_a_thread(monkeypatch, two_cpu
 
 
 def test_each_group_is_scored_once_under_rapid_thread_switching(two_cpus):
-    """The shared cursor hands every group to exactly one thread, even
+    """The shared cursor hands every tile to exactly one thread, even
     when the interpreter switches threads at every chance."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # five groups
+    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
     where = sorted_positions(ids, mask)
     want = M._batched_scores(ids, mask, params, cfg)
-    group = M._SCORE_GROUP * M._SCORE_TILE
     real_forward_batch = M.forward_batch
     calls = []
 
@@ -1323,7 +1328,7 @@ def test_each_group_is_scored_once_under_rapid_thread_switching(two_cpus):
             for _ in range(20):
                 calls.clear()
                 got = M._batched_scores(ids, mask, params, cfg, helper=True)
-                assert sorted(calls) == list(range(0, len(ids), group))
+                assert sorted(calls) == list(range(0, len(ids), M._SCORE_TILE))
                 assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
