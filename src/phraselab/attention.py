@@ -328,7 +328,9 @@ def forward_batched(
     Returns (output, raw scaled scores, cache). The cache holds what
     ``backward_batched`` reads; it is built only when ``keep_cache`` is
     set and is None otherwise, so an inference caller frees the
-    projections and probabilities as soon as the call returns.
+    projections and probabilities as soon as the call returns. Without
+    a cache ``h`` is dropped once the Q/K/V product is made, which
+    frees it when the caller passed the call its only reference.
 
     ``queries``, when given, keeps only the first ``queries`` query
     positions, 1 to L, with no cache: keys and values still come from
@@ -371,6 +373,8 @@ def forward_batched(
         kc, v = proj[0], proj[1]
         qc = _split_heads(h[:, :queries] @ w3[0], n_heads)
         q_take, k_take = q_take[:queries], k_take[:queries]
+    if not keep_cache:
+        del h
 
     # each bilinear term is computed in bucket space and then gathered
     # per (query, key) pair: the first field query indexed, the second

@@ -53,23 +53,23 @@ LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_CUBIC = 0.044715
 MAGIC = b"SSLB1"
-# rows per tile in eval scoring. Each block allocates temporaries
-# that grow with the rows, so the tile bounds the working set, and
-# every tile's states stay alive until the top block. Bulk scoring
+# full-length rows per tile in eval scoring: a tile takes consecutive
+# length-sorted rows while their count times their widest trimmed
+# width fits _SCORE_TILE * max_len positions (_tile_bounds), so tiles
+# of short rows hold more of them. Each block allocates temporaries
+# that grow with the positions, so the budget bounds the working set,
+# and every tile's states stay alive until the top block. Bulk scoring
 # hands forward_batch one tile per call, and predict may score two
 # tiles at once, on two threads (_score_on_two_threads), so the bound
-# is on two tiles: 512 full-length small rows peak at 2.05 MB traced
-# at 24 rows on one thread and 3.47 MB on two (2.58 and 4.53 at 32,
-# 3.63 and 6.63 at 48), where the working-set test allows 4.0.
-# On one thread the sizes from 16 rows up do not rank apart: their
-# rates spread more between rounds than between sizes.
-# On two, larger tiles score faster: a block makes ~50 NumPy calls per
-# tile whatever its rows, and the threads take turns at the GIL for
-# the Python work around each call (inferred from the rates, not
-# traced). 512 benchmark rows (one BLAS thread, 2 shared vCPUs) read
-# 1.27x the one-thread rate at 16-row tiles in pairs and 1.46x at 24.
-_SCORE_TILE = 24
-# rows per chunk of the eval GELU, which runs in place
+# is on two tiles: one eval tile peaks at 7.01 U traced (U is one
+# rows x max_len x d_model float64 array), and 512 full-length small
+# rows peak at 2.03 MB traced on one thread and 3.77 MB on two at 30
+# rows, where the working-set test allows 4.0 (32 rows read 4.00 MB).
+# A block makes ~50 NumPy calls per tile whatever its positions, and
+# on two threads the threads take turns at the GIL for the Python work
+# around each call, so more rows per call score faster.
+_SCORE_TILE = 30
+# fewest rows per chunk of the eval GELU, which runs in place
 _GELU_ROWS = 64
 
 
@@ -80,7 +80,7 @@ class ModelConfig:
     ``vocab_size`` caps the vocabulary; a trained token table has one
     row per vocabulary entry, and its checkpoint records that count.
     ``batch_size`` is the training minibatch size only: bulk scoring
-    runs in fixed tiles of ``_SCORE_TILE`` rows whatever it is.
+    runs in tiles of ``_SCORE_TILE * max_len`` positions whatever it is.
     """
 
     layers: int
@@ -332,14 +332,18 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gelu_in_place(x: np.ndarray) -> np.ndarray:
     """``x`` overwritten with gelu(x), with ``_gelu_parts``' bits, and
-    returned. The work runs in ``_GELU_ROWS``-row chunks, so the one
-    temporary stays small however many rows ``x`` has."""
-    for start in range(0, len(x), _GELU_ROWS):
-        chunk = x[start : start + _GELU_ROWS]
+    returned. The work runs in chunks of half the rows, rounded up, or
+    ``_GELU_ROWS`` if that is more: two at most, and one for a small
+    ``x``. Each chunk's temporary is freed before the next is made, so
+    one temporary of at most a chunk is alive at a time."""
+    rows = max(_GELU_ROWS, -(-len(x) // 2))
+    for start in range(0, len(x), rows):
+        chunk = x[start : start + rows]
         u = _gelu_tanh(chunk)
         u += 1.0
         chunk *= u  # x * (t + 1) has the bits of (t + 1) * x
         chunk *= 0.5
+        del u
     return x
 
 
@@ -458,9 +462,14 @@ def _block_forward(
     the block's two dropout masks and is None when dropout is off. The
     masks are drawn at full ``max_len`` and then cut to the batch width
     and packed, so the random stream does not depend on the layout.
-    Everything not returned is freed on return; without a cache each
-    temporary is dropped as soon as it is dead and the GELU runs in
-    place, since ``predict`` may run two tiles at once.
+    The block owns ``x`` (``_encode`` hands it over, ``_Tile.take_x``):
+    both residuals are added into it in place and it is returned as
+    the output (the top block's ``head_only`` output is new). Everything
+    else not returned is freed on return. Without a cache LN1's output
+    goes to ``forward_batched`` as the call's only reference, so it is
+    freed after the Q/K/V product, every other temporary is dropped as
+    soon as it is dead and the GELU runs in place, since ``predict`` may
+    run two tiles at once.
 
     ``head_only`` (no cache) runs the top block for the head alone:
     keys and values come from every position, but the queries, the
@@ -472,6 +481,8 @@ def _block_forward(
     """
     n_batch, length = layout.n_batch, layout.length
     n1, ln1_cache = _layer_norm_forward(x, lay.ln1_g, lay.ln1_b, keep_cache)
+    grid = [layout.scatter(n1)]  # popped into the call, its only reference
+    del n1
     cols = min(2, length) if head_only else None
     prob_drop = None
     if drop_rng is not None:
@@ -480,17 +491,17 @@ def _block_forward(
         keep = drop_rng.random(shape) >= cfg.dropout_rate
         prob_drop = keep[:, :, : cols or length, :length] * keep_scale
     attn_out, raw, attn_cache = attn_mod.forward_batched(
-        layout.scatter(n1), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms, queries=cols
+        grid.pop(), lay.attn, cfg.attention, mask, prob_drop, keep_cache, terms, queries=cols
     )
-    del n1, raw
+    del raw
     if head_only:
         # a column-1 slot that is padding reads zeros, as in the grid
         xb = attn_out.reshape(n_batch * cols, -1)
         xb += layout.scatter(x)[:, :cols].reshape(xb.shape)
     else:
-        xb = layout.gather(attn_out)
-        xb += x
-    del attn_out
+        xb = x  # a + b has the bits of b + a
+        xb += layout.gather(attn_out)
+    del attn_out, x
     n2, ln2_cache = _layer_norm_forward(xb, lay.ln2_g, lay.ln2_b, keep_cache)
     pre = n2 @ lay.w1
     pre += lay.b1
@@ -506,14 +517,13 @@ def _block_forward(
         kept = keep[:, :cols].reshape(-1, cfg.ffn_dim) if head_only else layout.gather(keep[:, :length])
         ffn_drop = kept * keep_scale
         used = act * ffn_drop
-    x = used @ lay.w2
-    x += xb
-    x += lay.b2
+    xb += used @ lay.w2
+    xb += lay.b2
     if head_only:
-        return x[::cols], None
+        return xb[::cols], None
     if not keep_cache:
-        return x, None
-    return x, {
+        return xb, None
+    return xb, {
         "ln1": ln1_cache,
         "attn": attn_cache,
         "ln2": ln2_cache,
@@ -533,6 +543,32 @@ def _real_width(mask: np.ndarray) -> int:
     """
     real = np.flatnonzero(mask.any(axis=0))
     return int(real[-1]) + 1 if real.size else 1
+
+
+def _tile_bounds(mask: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """(start, stop) of the eval tiles of ``mask``'s rows, in order.
+
+    Each tile takes consecutive rows while their count times their
+    widest trimmed width (last real column plus one, one at least) fits
+    ``budget`` positions; a row wider than the budget is a tile alone.
+    Rows that fit the budget at full width are one tile, with no widths
+    read, so a single pair pays for nothing here.
+    """
+    n_rows, length = mask.shape
+    if n_rows * length <= budget:
+        return [(0, n_rows)] if n_rows else []
+    widths = ((mask != 0) * np.arange(1, length + 1)).max(axis=1)
+    if n_rows * max(int(widths.max()), 1) <= budget:  # one of _batched_scores' tiles
+        return [(0, n_rows)]
+    bounds = []
+    start, widest = 0, 1
+    for row, width in enumerate(widths.tolist()):
+        if row > start and (row - start + 1) * max(widest, width) > budget:
+            bounds.append((start, row))
+            start, widest = row, 1
+        widest = max(widest, width)
+    bounds.append((start, n_rows))
+    return bounds
 
 
 def _packed_positions(mask: np.ndarray) -> Optional[np.ndarray]:
@@ -575,6 +611,13 @@ class _Tile:
         self.x = params.token_embed[self.ids]
         self.blocks: list = []
 
+    def take_x(self) -> np.ndarray:
+        """``x``, handed over: the tile keeps no reference to it, so a
+        block that owns it may write it in place and it is freed once
+        the block drops it."""
+        x, self.x = self.x, None
+        return x
+
 
 def _head_only_keeps_bits(cfg: ModelConfig) -> bool:
     """Whether a ``head_only`` top block gives the full block's bits.
@@ -613,7 +656,7 @@ def _encode(
             if li == inject_at:
                 tile.x = tile.x + params.abs_pos_embed[tile.layout.columns]
             tile.x, block_cache = _block_forward(
-                tile.x, lay, terms[li], cfg, tile.layout, tile.keys, drop_rng, keep_cache,
+                tile.take_x(), lay, terms[li], cfg, tile.layout, tile.keys, drop_rng, keep_cache,
                 head_only=cut and li == inject_at,
             )
             if keep_cache:
@@ -651,15 +694,17 @@ def forward_batch(
     this call by ``_prepared`` when that is None.
 
     With ``keep_cache`` the batch is one tile. Without it the rows run
-    in consecutive tiles of ``_SCORE_TILE``, each trimmed to its own
-    width, layer-major: every tile passes a block before the next block
-    starts (``_encode``). The top block then works for the head alone
+    in consecutive tiles of at most ``_SCORE_TILE * max_len`` positions
+    (``_tile_bounds``), each trimmed to its own width, layer-major:
+    every tile passes a block before the next block starts
+    (``_encode``). The top block then works for the head alone
     (``_block_forward``'s ``head_only``). Neither moves a score's bits:
     a row's bits do not depend on the other rows of a product that
     holds two rows or more (``_head_only_keeps_bits`` has the widths
     this needs). Every tile's states stay alive until the top block,
-    so ``_batched_scores`` passes one tile per call; the tile loop
-    serves direct callers with more rows.
+    so ``_batched_scores`` passes one tile per call, which the same
+    bounds keep as one tile; the tile loop serves direct callers with
+    more rows.
 
     Every tile first drops the trailing columns that are padding in
     every row, then packs the real positions (and column 0 of each
@@ -692,12 +737,12 @@ def forward_batch(
         terms = _prepared(params, cfg).relative
     drop_rng = rng if cfg.dropout_rate > 0.0 else None
     if not keep_cache:
-        starts = range(0, ids.shape[0], _SCORE_TILE)
-        tiles = [_Tile(ids[s : s + _SCORE_TILE], mask[s : s + _SCORE_TILE], params) for s in starts]
+        bounds = _tile_bounds(mask, _SCORE_TILE * cfg.max_len)
+        tiles = [_Tile(ids[s:e], mask[s:e], params) for s, e in bounds]
         _encode(tiles, params, terms, cfg, drop_rng, keep_cache=False)
         score = np.empty(ids.shape[0])
-        for s, tile in zip(starts, tiles):
-            score[s : s + _SCORE_TILE] = _head(tile.x, params)[1]
+        for (s, e), tile in zip(bounds, tiles):
+            score[s:e] = _head(tile.x, params)[1]
         return score, None
 
     tile = _Tile(ids, mask, params)
@@ -899,10 +944,11 @@ def _batched_scores(
     """Evaluation-mode scores of the encoded rows, in their order.
 
     The rows are sorted by real length (stably) and scored in
-    consecutive tiles of ``_SCORE_TILE``, so each tile trims to little
-    padding and its temporaries stay the same size however many rows
-    there are. ``forward_batch`` takes one tile per call. Each score
-    lands back at its row's position.
+    consecutive tiles of at most ``_SCORE_TILE * max_len`` positions
+    (``_tile_bounds``), so each tile trims to little padding, tiles of
+    short rows hold more of them, and the temporaries stay within the
+    same bound however many rows there are. ``forward_batch`` takes one
+    tile per call. Each score lands back at its row's position.
 
     With ``helper`` (``predict`` alone sets it) the tiles are shared
     with one helper thread (``_score_on_two_threads``), on one BLAS
@@ -919,12 +965,13 @@ def _batched_scores(
         if params.relative is None:
             params = _prepared(params, cfg)
         order = np.argsort(mask.sum(axis=1), kind="stable")
-        if helper and ids.shape[0] > _SCORE_TILE and eval_mod._parallel_cpus() > 1:
+        bounds = _tile_bounds(mask[order], _SCORE_TILE * cfg.max_len)
+        tiles = [order[start:stop] for start, stop in bounds]
+        if helper and len(tiles) > 1 and eval_mod._parallel_cpus() > 1:
             with eval_mod._one_blas_thread():
-                _score_on_two_threads(ids, mask, params, cfg, order, out)
+                _score_on_two_threads(ids, mask, params, cfg, tiles, out)
             return out
-        for start in range(0, ids.shape[0], _SCORE_TILE):
-            rows = order[start : start + _SCORE_TILE]
+        for rows in tiles:
             out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
     return out
 
@@ -934,11 +981,12 @@ def _score_on_two_threads(
     mask: np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-    order: np.ndarray,
+    tiles: Sequence[np.ndarray],
     out: np.ndarray,
 ) -> None:
-    """``_batched_scores``' tiles, scored into ``out`` by this thread and
-    one helper thread, each taking the next tile from one cursor.
+    """``_batched_scores``' tiles, each given by its rows' indices,
+    scored into ``out`` by this thread and one helper thread, each
+    taking the next tile from one cursor.
 
     Each thread traps overflow itself (NumPy's error state is per
     thread). The first exception either thread raises, a Ctrl-C here
@@ -947,7 +995,7 @@ def _score_on_two_threads(
     two tiles are in flight, so the working set is about twice one
     tile's (the figures are at ``_SCORE_TILE``).
     """
-    starts = iter(range(0, ids.shape[0], _SCORE_TILE))
+    pending = iter(tiles)
     cursor = threading.Lock()
     errors: list[BaseException] = []  # also the stop flag: no tile is taken once it fills
     helper_done = threading.Event()
@@ -957,10 +1005,9 @@ def _score_on_two_threads(
             with _refusing_overflow("scoring"):
                 while True:
                     with cursor:
-                        start = None if errors else next(starts, None)
-                    if start is None:
+                        rows = None if errors else next(pending, None)
+                    if rows is None:
                         return
-                    rows = order[start : start + _SCORE_TILE]
                     out[rows], _ = forward_batch(ids[rows], mask[rows], params, cfg)
         except BaseException as exc:  # raised by the caller, after the join
             errors.append(exc)

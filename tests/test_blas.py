@@ -24,7 +24,7 @@ any golden score moves.
 import numpy as np
 import pytest
 
-from phraselab import model
+from phraselab import model, text
 
 # (K, N) of the products the eval forward runs: the small preset's
 # d_model 64 and FFN 256 (the xsmall preset's 32 and 128), per-head
@@ -33,7 +33,10 @@ WIDE = [
     (64, 64), (64, 192), (64, 256), (256, 64), (32, 32), (32, 128), (128, 32),
     (16, 16), (16, 4), (16, 7), (16, 13), (4, 16), (7, 16), (13, 16), (8, 8), (8, 16),
 ]
-TALL = model._SCORE_TILE * 16  # a tile of full-length rows
+TALL = model._SCORE_TILE * 16  # a tile's positions at max_len 16
+# the most rows a tile can hold: its positions over the narrowest width
+# encode makes ([CLS] and one [SEP] per segment, every segment empty)
+MOST_ROWS = TALL // min(1 + len(segments) for segments in text.LAYOUTS.values())
 
 
 def row_sets(rng, tall):
@@ -69,10 +72,10 @@ def test_scores_of_a_short_batch_keep_their_bits_at_two_query_rows(length, d_hea
 @pytest.mark.parametrize("length", [2, 7, 16])
 def test_stacked_per_head_products_keep_their_rows_bits(length):
     """The attention's (B, H, ...) products of two query rows against
-    those of every row of a tile: scores, bucket fields and the value
-    mix."""
+    those of every row of a tile, at the most rows a tile can hold:
+    scores, bucket fields and the value mix."""
     rng = np.random.default_rng(length)
-    batch = model._SCORE_TILE
+    batch = MOST_ROWS
     q = rng.normal(0.0, 1.0, (batch, 4, length, 16))
     k = rng.normal(0.0, 1.0, (batch, 4, length, 16))
     rel = rng.normal(0.0, 1.0, (1, 4, 16, 16))

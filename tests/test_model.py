@@ -622,7 +622,7 @@ def full_top_block():
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    n_batch=st.integers(1, 20),
+    n_batch=st.integers(1, 40),
     shape=st.sampled_from(["random", "column 1 padding", "width 1"]),
     dropout=st.booleans(),
 )
@@ -652,7 +652,7 @@ def test_eval_forward_top_block_cut_matches_the_full_top_block(seed, n_batch, sh
         want = scores()
     with attention_queries() as cut_queries:
         got = scores()
-    n_tiles = -(-n_batch // M._SCORE_TILE)
+    n_tiles = len(M._tile_bounds(mask, M._SCORE_TILE * cfg.max_len))
     assert full_queries == [None] * cfg.layers * n_tiles
     assert cut_queries == [None] * n_tiles + [1 if shape == "width 1" else 2] * n_tiles
     assert np.array_equal(got, want)
@@ -826,6 +826,55 @@ def test_eval_forward_of_an_all_masked_batch_raises():
         M.forward_batch(ids, np.zeros((2, cfg.max_len)), params, cfg)
 
 
+def test_one_eval_tile_peaks_at_seven_states():
+    """A ``forward_batch`` of one tile of full-length small-preset rows,
+    on prepared parameters, traces at most 7.1 U, where U is one
+    (rows, max_len, d_model) float64 array: the block states, handed
+    from block to block, take the residuals in place, and LN1's output
+    dies after the Q/K/V product."""
+    cfg = M.presets("small")
+    params = M._prepared(M.init_params(cfg), cfg)
+    n_rows = M._SCORE_TILE
+    rng = np.random.default_rng(3)
+    ids = rng.integers(4, 64, (n_rows, cfg.max_len))
+    mask = np.ones((n_rows, cfg.max_len))
+    assert M._tile_bounds(mask, M._SCORE_TILE * cfg.max_len) == [(0, n_rows)]
+    M.forward_batch(ids, mask, params, cfg)  # fill the bucket-table cache first
+    tracemalloc.start()
+    try:
+        M.forward_batch(ids, mask, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.1 * n_rows * cfg.max_len * cfg.d_model * 8
+
+
+@pytest.mark.parametrize("n_rows", [1, M._GELU_ROWS, M._GELU_ROWS + 1, 2 * M._GELU_ROWS + 1, 480])
+def test_the_in_place_gelu_runs_two_chunks_at_most_with_one_temporary_alive(n_rows):
+    """``_gelu_in_place`` gives ``_gelu_parts``' bits, in at most two
+    chunks (one up to ``_GELU_ROWS`` rows), and frees each chunk's
+    temporary before the next is made."""
+    x = np.random.default_rng(n_rows).normal(0.0, 3.0, (n_rows, 256))
+    want, _ = M._gelu_parts(x)
+    chunk_rows = []
+    real_tanh = M._gelu_tanh
+
+    def counting(chunk):
+        chunk_rows.append(len(chunk))
+        return real_tanh(chunk)
+
+    with mock.patch.object(M, "_gelu_tanh", counting):
+        tracemalloc.start()
+        try:
+            got = M._gelu_in_place(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got is x and np.array_equal(got, want)
+    assert len(chunk_rows) == (1 if n_rows <= M._GELU_ROWS else 2)
+    assert peak <= max(chunk_rows) * x.shape[1] * 8 + 4096
+
+
 def test_eval_forward_keeps_no_block_activations():
     """The peak traced allocation of a batch-256 small-preset eval forward
     on full-length rows (nothing to trim) stays below the FFN arrays that
@@ -912,9 +961,11 @@ def mixed_length_dataset(n_rows, seed=9, words=(1, 4)):
     )
 
 
-# inside the first tile, and around the end of each of the first three
-TILE_ROW_COUNTS = sorted({0, 1, 15, 16, 17, 150} | {
-    tiles * M._SCORE_TILE + extra for tiles in (1, 2, 3) for extra in (-1, 0, 1)
+# inside the first tile, around the rows that fit the budget at full
+# width, and counts that end in two tiles (35 to 49) and in three (71
+# and 73 with a last tile of one row, 72 of two)
+TILE_ROW_COUNTS = sorted({0, 1, 15, 16, 17, 23, 24, 25, 35, 47, 48, 49, 71, 72, 73, 150} | {
+    M._SCORE_TILE + extra for extra in (-1, 0, 1)
 })
 
 
@@ -931,6 +982,68 @@ def tile_order_case(n_rows):
     return cfg, d, vocab, params, indices
 
 
+def sorted_tiles(mask, cfg):
+    """(order, bounds): bulk scoring's length-sorted order of the rows and
+    its tiles' (start, stop) in that order."""
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    return order, M._tile_bounds(mask[order], M._SCORE_TILE * cfg.max_len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.integers(0, 16), max_size=80),
+    budget=st.integers(1, 200),
+)
+def test_tile_bounds_cover_the_rows_in_order_within_the_budget(widths, budget):
+    """Tiles are contiguous and cover every row once, in order. Each fits
+    the budget (count times widest trimmed width, one at least) or is
+    one row, and the next row would not fit in it."""
+    length = 16
+    mask = (np.arange(length) < np.array(widths, dtype=int)[:, None]).astype(np.float64)
+    mask[np.random.default_rng(len(widths)).random(mask.shape) < 0.2] = 0.0  # holes
+    trimmed = [int(np.flatnonzero(row)[-1]) + 1 if row.any() else 1 for row in mask]
+    bounds = M._tile_bounds(mask, budget)
+    assert [row for start, stop in bounds for row in range(start, stop)] == list(range(len(widths)))
+    for start, stop in bounds:
+        assert stop > start
+        cost = (stop - start) * max(trimmed[start:stop])
+        assert cost <= budget or stop - start == 1
+        if stop < len(widths):
+            assert (stop + 1 - start) * max(trimmed[start : stop + 1]) > budget
+
+
+def test_tiles_of_short_rows_hold_more_than_the_full_width_rows(two_cpus):
+    """Score-pairs-like rows of 7 to 13 real tokens: ``predict``'s tiles
+    hold more than ``_SCORE_TILE`` rows, at most the budget over the
+    narrowest row, each within the budget; the scores match the rows'
+    own forwards and the serial path's bits."""
+    cfg = M.presets("small")
+    d = mixed_length_dataset(200, words=(1, 3))
+    vocab = build_vocab(d)
+    params = M._prepared(M.init_params(cfg, rows=len(vocab)), cfg)
+    ids, mask, _ = M._encode_rows(d, range(len(d)), vocab, cfg)
+    real = mask.sum(axis=1)
+    assert real.min() == 7 and real.max() == 13
+    budget = M._SCORE_TILE * cfg.max_len
+    tiles = []
+    real_forward_batch = M.forward_batch
+
+    def recording(ids, mask, *args, **kwargs):
+        tiles.append(mask.sum(axis=1))
+        return real_forward_batch(ids, mask, *args, **kwargs)
+
+    with mock.patch.object(M, "forward_batch", recording):
+        got = M.predict(d, range(len(d)), params, cfg, vocab)
+    assert sum(map(len, tiles)) == len(d)
+    assert max(map(len, tiles)) > M._SCORE_TILE
+    assert all(len(lengths) * lengths.max() <= budget for lengths in tiles)
+    assert max(map(len, tiles)) <= budget // 7
+    assert np.array_equal(got, M._batched_scores(ids, mask, params, cfg))
+    for row in range(0, len(d), 7):
+        seq = TokenSequence(ids=tuple(ids[row].tolist()), attention_mask=tuple(mask[row].astype(int).tolist()))
+        assert abs(got[row] - M.forward(seq, params, cfg)) <= 1e-12
+
+
 def sorted_positions(ids, mask):
     """Each encoded row's position in bulk scoring's length-sorted
     order, keyed by the row's ids. Tiles may be scored on
@@ -944,11 +1057,13 @@ def sorted_positions(ids, mask):
 
 @pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
 def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
-    """Bulk scoring runs length-sorted tiles of at most ``_SCORE_TILE``
-    rows, whatever ``batch_size`` is, and each score comes back at its
-    index's position, matching that row's own forward."""
+    """Bulk scoring runs length-sorted tiles of ``_tile_bounds``, whatever
+    ``batch_size`` is, and each score comes back at its index's
+    position, matching that row's own forward."""
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
-    where = sorted_positions(*M._encode_rows(d, indices, vocab, cfg)[:2])
+    ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    where = sorted_positions(ids, mask)
+    _, bounds = sorted_tiles(mask, cfg)
 
     tiles = []
     real_tile = M._Tile
@@ -959,10 +1074,10 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
 
     with mock.patch.object(M, "_Tile", recording):
         scores = M.predict(d, indices, params, replace(cfg, batch_size=1), vocab)
-    tiles = [lengths for _, lengths in sorted(tiles, key=lambda tile: tile[0])]
-    assert [len(t) for t in tiles] == [
-        min(M._SCORE_TILE, n_rows - start) for start in range(0, n_rows, M._SCORE_TILE)
+    assert sorted((start, len(lengths)) for start, lengths in tiles) == [
+        (start, stop - start) for start, stop in bounds
     ]
+    tiles = [lengths for _, lengths in sorted(tiles, key=lambda tile: tile[0])]
     lengths = np.concatenate(tiles) if tiles else np.empty(0)
     assert np.all(np.diff(lengths) >= 0)  # shortest rows first, across tiles
 
@@ -978,25 +1093,24 @@ def test_predict_scores_sorted_tiles_in_the_callers_order(n_rows):
 @pytest.mark.parametrize("n_rows", TILE_ROW_COUNTS)
 def test_layer_major_groups_score_as_one_tile_at_a_time(n_rows, two_cpus):
     """Bulk scoring, on this thread alone or shared with a helper thread,
-    calls ``forward_batch`` once per tile: at most ``_SCORE_TILE`` rows
-    starting at a multiple of it in the length-sorted order, each tile
-    once. Every score equals, bit for bit, the one its tile gets from a
-    ``forward_batch`` call of its own, and a direct ``forward_batch`` of
-    all the sorted rows, which runs its tiles layer-major, gives each
-    tile's bits too."""
+    calls ``forward_batch`` once per tile of ``_tile_bounds`` in the
+    length-sorted order, each tile once. Every score equals, bit for
+    bit, the one its tile gets from a ``forward_batch`` call of its own,
+    and a direct ``forward_batch`` of all the sorted rows, which runs
+    its tiles layer-major, gives each tile's bits too."""
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
     where = sorted_positions(ids, mask)
-    order = np.argsort(mask.sum(axis=1), kind="stable")
+    order, bounds = sorted_tiles(mask, cfg)
     want = np.empty(n_rows)
-    for start in range(0, n_rows, M._SCORE_TILE):
-        rows = order[start : start + M._SCORE_TILE]
+    for start, stop in bounds:
+        rows = order[start:stop]
         want[rows], _ = M.forward_batch(ids[rows], mask[rows], params, cfg)
     layer_major, _ = M.forward_batch(ids[order], mask[order], params, cfg)
     assert np.array_equal(layer_major, want[order])
 
     real_forward_batch = M.forward_batch
-    tiles = [(start, min(M._SCORE_TILE, n_rows - start)) for start in range(0, n_rows, M._SCORE_TILE)]
+    tiles = [(start, stop - start) for start, stop in bounds]
     for helper in (False, True):
         calls = []
 
@@ -1017,7 +1131,8 @@ def test_predict_working_set_is_one_tile_not_all_rows():
     the traced peak stays below the FFN arrays two blocks of the training
     cache would hold for one tile (the bound the batch-256 forward test
     sets per batch), so the peak does not grow with the number of rows,
-    and below 4 MB, which a 48-row tile (7.5 MB) exceeds."""
+    and below 4 MB, which two tiles of 32 full-length rows in flight
+    reach."""
     cfg = replace(M.presets("small"), batch_size=512)
     d = mixed_length_dataset(512, words=(6, 6))
     vocab = build_vocab(d)
@@ -1037,7 +1152,7 @@ def test_predict_working_set_is_one_tile_not_all_rows():
 
 def test_predict_working_set_holds_with_both_threads_scoring():
     """The bounds of the test above with the helper thread made to
-    score: two groups in flight stay below them on any host, and on
+    score: two tiles in flight stay below them on any host, and on
     one whose BLAS cannot be pinned."""
     cfg = replace(M.presets("small"), batch_size=512)
     d = mixed_length_dataset(512, words=(6, 6))
@@ -1140,9 +1255,10 @@ def helper_scores_a_group(seen):
 def test_predict_on_two_threads_is_bit_equal_to_the_serial_path(n_rows, two_cpus):
     cfg, d, vocab, params, indices = tile_order_case(n_rows)
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
+    _, bounds = sorted_tiles(mask, cfg)
     with started_threads() as started:
         got = M.predict(d, indices, params, cfg, vocab)
-    assert len(started) == (1 if n_rows > M._SCORE_TILE else 0)
+    assert len(started) == (1 if len(bounds) > 1 else 0)
     assert np.array_equal(got, M._batched_scores(ids, mask, params, cfg))
 
 
@@ -1151,7 +1267,7 @@ def test_golden_rows_keep_their_bits_on_two_threads(two_cpus):
     cfg = replace(M.presets(golden["preset"]), seed=golden["seed"])
     ids = np.array(golden["ids"])
     mask = (np.arange(cfg.max_len) < np.array(golden["lengths"])[:, None]).astype(np.float64)
-    copies = 12  # 72 rows, three tiles
+    copies = 12  # 72 rows, three tiles, the first of 40 rows
     assert len(ids) * copies > 2 * M._SCORE_TILE
     with started_threads() as started:
         got = M._batched_scores(
@@ -1186,7 +1302,7 @@ def test_the_first_error_of_either_thread_propagates_and_stops_the_other(raised,
     error in whichever thread scores first): it propagates as it was,
     the other thread scores at most the tile it is on, and no thread
     is left running."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five tiles
     caller = threading.get_ident()
     calls = []
     raised_at = []
@@ -1214,7 +1330,7 @@ def test_a_ctrl_c_inside_thread_start_still_waits_for_the_helper(two_cpus):
     but before it is marked started, when ``is_alive`` reads False: the
     Ctrl-C propagates, the helper scores at most the tile it took, and
     it is joined before ``predict`` raises."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five tiles
     caller = threading.get_ident()
     helper_calls = []
     real_forward_batch = M.forward_batch
@@ -1252,7 +1368,7 @@ def test_two_overlapping_predict_calls_keep_their_bits_and_the_blas_count(two_cp
     before either scores: each scores what it scores alone, and the BLAS
     thread count is back afterwards whichever call ends first."""
     functions = evaluation._blas_thread_functions()
-    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five tiles
     want = M.predict(d, indices, params, cfg, vocab)
     both_pinned = threading.Barrier(2)
     real_score_on_two_threads = M._score_on_two_threads
@@ -1310,9 +1426,10 @@ def test_only_predict_of_two_tiles_or_more_starts_a_thread(monkeypatch, two_cpus
 def test_each_group_is_scored_once_under_rapid_thread_switching(two_cpus):
     """The shared cursor hands every tile to exactly one thread, even
     when the interpreter switches threads at every chance."""
-    cfg, d, vocab, params, indices = tile_order_case(150)  # seven tiles
+    cfg, d, vocab, params, indices = tile_order_case(150)  # five tiles
     ids, mask, _ = M._encode_rows(d, indices, vocab, cfg)
     where = sorted_positions(ids, mask)
+    _, bounds = sorted_tiles(mask, cfg)
     want = M._batched_scores(ids, mask, params, cfg)
     real_forward_batch = M.forward_batch
     calls = []
@@ -1328,7 +1445,7 @@ def test_each_group_is_scored_once_under_rapid_thread_switching(two_cpus):
             for _ in range(20):
                 calls.clear()
                 got = M._batched_scores(ids, mask, params, cfg, helper=True)
-                assert sorted(calls) == list(range(0, len(ids), M._SCORE_TILE))
+                assert sorted(calls) == [start for start, _ in bounds]
                 assert np.array_equal(got, want)
     finally:
         sys.setswitchinterval(interval)
